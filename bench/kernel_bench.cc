@@ -2,7 +2,8 @@
  * @file
  * Simulation-kernel microbenchmarks: raw event-scheduling
  * throughput, network packet forwarding, multicast destination
- * decode, and coherence-packet allocation churn.
+ * decode, directory bit-pattern and map encoding, and
+ * coherence-packet allocation churn.
  *
  * This is the tracked perf surface of the simulator (docs/PERF.md):
  * the numbers land in BENCH_kernel.json and CI's perf-smoke job
@@ -27,6 +28,7 @@
 
 #include "core/dsm_system.hh"
 #include "directory/bit_pattern.hh"
+#include "directory/cenju_node_map.hh"
 #include "fault/injector.hh"
 #include "fault/stress.hh"
 #include "memory/address_map.hh"
@@ -147,7 +149,7 @@ benchSchedDeep(std::uint64_t total)
 }
 
 /** Endpoint that counts deliveries and immediately re-injects. */
-class EchoEndpoint : public NetEndpoint
+class EchoEndpoint : public Endpoint
 {
   public:
     EchoEndpoint(Network &net, NodeId id, std::uint64_t *budget)
@@ -254,6 +256,68 @@ benchMulticastDecode(std::uint64_t total)
         std::fprintf(stderr, "impossible\n");
     return {"multicast_decode", "decodes_per_sec",
             double(total) / s, total, s};
+}
+
+/**
+ * Bit-pattern insert throughput: the per-sharer operation a
+ * directory entry in coarse (bit-pattern) mode performs on every
+ * read miss.
+ */
+Result
+benchBitPatternAdd(std::uint64_t total)
+{
+    Rng rng(1);
+    std::vector<NodeId> ids(1024);
+    for (NodeId &v : ids)
+        v = NodeId(rng.below(maxNodes));
+    std::uint64_t packed = 0;
+    BitPattern p;
+    auto t0 = clk::now();
+    for (std::uint64_t i = 0; i < total; ++i) {
+        // Restart every 1024 adds so the pattern never saturates.
+        if ((i & 1023) == 0) {
+            packed += p.pack();
+            p.clear();
+        }
+        p.add(ids[i & 1023]);
+    }
+    double s = secondsSince(t0);
+    if (packed + p.pack() == 0)
+        std::fprintf(stderr, "impossible\n");
+    return {"bitpattern_add", "adds_per_sec", double(total) / s, total,
+            s};
+}
+
+/**
+ * Directory-entry encode/decode throughput: CenjuNodeMap pack and
+ * unpack round trips over 2-, 8- and 64-sharer maps (pointer form
+ * and both bit-pattern shapes), as the directory does on every
+ * entry access.
+ */
+Result
+benchMapPackUnpack(std::uint64_t total)
+{
+    Rng rng(3);
+    std::vector<CenjuNodeMap> maps;
+    for (std::uint32_t k : {2u, 8u, 64u}) {
+        CenjuNodeMap m;
+        for (NodeId v : rng.sampleDistinct(k, maxNodes))
+            m.add(v);
+        maps.push_back(m);
+    }
+
+    std::uint64_t members = 0;
+    auto t0 = clk::now();
+    for (std::uint64_t i = 0; i < total; ++i) {
+        std::uint64_t raw = maps[i % maps.size()].pack();
+        members += CenjuNodeMap::unpackMap(raw).representedCount(
+            maxNodes);
+    }
+    double s = secondsSince(t0);
+    if (members == 0)
+        std::fprintf(stderr, "impossible\n");
+    return {"map_pack_unpack", "roundtrips_per_sec", double(total) / s,
+            total, s};
 }
 
 /**
@@ -684,6 +748,8 @@ main(int argc, char **argv)
         {"packets", benchPackets, 100000 * scale},
         {"multicast_decode", benchMulticastDecode,
          500000 * scale},
+        {"bitpattern_add", benchBitPatternAdd, 20000000 * scale},
+        {"map_pack_unpack", benchMapPackUnpack, 5000000 * scale},
         {"packet_alloc", benchPacketAlloc, 1000000 * scale},
         {"stress_1024_seq", benchStress1024Seq, 2000000, true},
         {"stress_1024_sh8", benchStress1024Sh8, 2000000, true},

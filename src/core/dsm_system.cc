@@ -376,16 +376,13 @@ DsmSystem::replayTrace(const check::Trace &t)
 }
 
 RunStats
-DsmSystem::run(const std::function<Task(Env &)> &program)
+DsmSystem::run(const Program &program)
 {
-    std::vector<std::function<Task(Env &)>> programs(
-        _cfg.numNodes, program);
-    return runEach(programs);
+    return runEach(std::vector<Program>(_cfg.numNodes, program));
 }
 
 RunStats
-DsmSystem::runEach(
-    const std::vector<std::function<Task(Env &)>> &programs)
+DsmSystem::runEach(const std::vector<Program> &programs)
 {
     if (programs.size() != _cfg.numNodes)
         fatal("runEach: %zu programs for %u nodes",

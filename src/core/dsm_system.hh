@@ -178,16 +178,19 @@ class DsmSystem
      */
     ShmArray shmAllocCombinable(std::size_t words, NodeId home = 0);
 
+    // cenju-lint: allow(A002): a program factory is called once per
+    // node per run, never on the per-event path.
+    using Program = std::function<Task(Env &)>;
+
     /**
      * Run one SPMD program: @p program is instantiated once per
      * node and all instances execute to completion.
      * @return wall-clock statistics for this run
      */
-    RunStats run(const std::function<Task(Env &)> &program);
+    RunStats run(const Program &program);
 
     /** Run distinct programs per node (size must equal numNodes). */
-    RunStats
-    runEach(const std::vector<std::function<Task(Env &)>> &programs);
+    RunStats runEach(const std::vector<Program> &programs);
 
     /**
      * Replay a model-checker counterexample trace (docs/CHECKING.md)

@@ -15,9 +15,9 @@
 #ifndef CENJU_CORE_ENV_HH
 #define CENJU_CORE_ENV_HH
 
+#include <bit>
 #include <coroutine>
-#include <cstring>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "core/mapping.hh"
@@ -30,16 +30,57 @@
 namespace cenju
 {
 
-/** Awaitable completing via a callback with a value of type T. */
-template <typename T>
-class CallbackAwaitable
+/**
+ * The awaitable every Env verb returns.
+ *
+ * await_suspend() stamps the start tick and runs @p Start, the
+ * verb's one engine call, handing it a Done. Done captures only this
+ * awaitable, which lives in the suspended coroutine's frame until the
+ * program resumes, so it sits inline in every engine callback type.
+ * When the engine calls it, the awaitable stores the result, charges
+ * the elapsed simulated time to the verb's bucket and resumes the
+ * program.
+ */
+template <typename T, typename Start>
+class EnvOp
 {
   public:
-    using Starter =
-        std::function<void(std::function<void(T)> done)>;
+    /** The completion handed to the engine. */
+    struct Done
+    {
+        EnvOp *op;
 
-    explicit CallbackAwaitable(Starter starter)
-        : _starter(std::move(starter))
+        void operator()() const { op->finish(); }
+
+        template <typename V>
+        void
+        operator()(V v) const
+        {
+            // Typed double accessors receive the raw 64-bit word
+            // the master module loaded.
+            if constexpr (std::is_same_v<T, double> &&
+                          std::is_same_v<V, std::uint64_t>)
+                op->_result = std::bit_cast<double>(v);
+            else
+                op->_result = std::move(v);
+            op->finish();
+        }
+    };
+
+    // StoreCallback is also the type of MsgEngine::send's callback.
+    static_assert(MasterModule::LoadCallback::fitsInline<Done>() &&
+                      MasterModule::StoreCallback::fitsInline<Done>() &&
+                      MsgEngine::RecvCallback::fitsInline<Done>() &&
+                      EventQueue::Callback::fitsInline<Done>(),
+                  "an Env completion must not heap-allocate "
+                  "(docs/PERF.md)");
+
+    /**
+     * @param bucket Env time bucket the elapsed time is charged to,
+     *        or nullptr
+     */
+    EnvOp(const EventQueue &eq, Tick *bucket, Start start)
+        : _eq(eq), _bucket(bucket), _start(std::move(start))
     {}
 
     bool await_ready() const noexcept { return false; }
@@ -47,46 +88,61 @@ class CallbackAwaitable
     void
     await_suspend(std::coroutine_handle<> h)
     {
-        _starter([this, h](T v) {
-            _result = std::move(v);
-            h.resume();
-        });
+        _h = h;
+        _t0 = _eq.now();
+        _start(Done{this});
     }
 
-    T await_resume() { return std::move(_result); }
-
-  private:
-    Starter _starter;
-    T _result{};
-};
-
-/** Awaitable completing via a void callback. */
-class VoidAwaitable
-{
-  public:
-    using Starter = std::function<void(std::function<void()> done)>;
-
-    explicit VoidAwaitable(Starter starter)
-        : _starter(std::move(starter))
-    {}
-
-    bool await_ready() const noexcept { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
+    T
+    await_resume()
     {
-        _starter([h] { h.resume(); });
+        if constexpr (!std::is_void_v<T>)
+            return std::move(_result);
     }
 
-    void await_resume() {}
-
   private:
-    Starter _starter;
+    void
+    finish()
+    {
+        if (_bucket)
+            *_bucket += _eq.now() - _t0;
+        _h.resume();
+    }
+
+    struct NoResult
+    {};
+
+    const EventQueue &_eq;
+    Tick *_bucket;
+    Start _start;
+    std::coroutine_handle<> _h;
+    Tick _t0 = 0;
+    std::conditional_t<std::is_void_v<T>, NoResult, T> _result{};
 };
 
 /** The per-node programming interface. */
 class Env
 {
+    /** Await @p start's engine call, charging its time to @p bucket. */
+    template <typename T, typename Start>
+    EnvOp<T, Start>
+    issue(Tick *bucket, Start start)
+    {
+        return {_node.eq(), bucket, std::move(start)};
+    }
+
+    /** 64-bit load awaiting a @p T; one memory access instruction. */
+    template <typename T>
+    auto
+    loadAs(Addr a)
+    {
+        ++instructions;
+        ++memAccesses;
+        return issue<T>(&memTime, [this, a](auto done) {
+            _node.master().load(a, done);
+        });
+    }
+
   public:
     Env(DsmNode &node, MsgEngine &engine, SyncEngine &sync)
         : _node(node), _engine(engine), _sync(sync)
@@ -99,120 +155,52 @@ class Env
     // --- raw memory ------------------------------------------------
 
     /** 64-bit load; counts one memory access instruction. */
-    CallbackAwaitable<std::uint64_t>
-    load(Addr a)
-    {
-        ++instructions;
-        ++memAccesses;
-        return CallbackAwaitable<std::uint64_t>(
-            [this, a](std::function<void(std::uint64_t)> done) {
-                Tick t0 = now();
-                _node.master().load(
-                    a, [this, t0,
-                        done = std::move(done)](std::uint64_t v) {
-                        memTime += now() - t0;
-                        done(v);
-                    });
-            });
-    }
+    auto load(Addr a) { return loadAs<std::uint64_t>(a); }
 
     /** 64-bit store; counts one memory access instruction. */
-    VoidAwaitable
+    auto
     store(Addr a, std::uint64_t v)
     {
         ++instructions;
         ++memAccesses;
-        return VoidAwaitable(
-            [this, a, v](std::function<void()> done) {
-                Tick t0 = now();
-                _node.master().store(
-                    a, v, [this, t0, done = std::move(done)] {
-                        memTime += now() - t0;
-                        done();
-                    });
-            });
+        return issue<void>(&memTime, [this, a, v](auto done) {
+            _node.master().store(a, v, done);
+        });
     }
 
     // --- typed shared/private array access --------------------------
 
-    /** Load element @p i of @p arr as a double. */
-    CallbackAwaitable<double>
-    get(const ShmArray &arr, std::size_t i)
+    /**
+     * Load element @p i of a shared (ShmArray) or private (PrivArray)
+     * array as a double. Both kinds read the same deliberately:
+     * shared-memory programs read the same as private ones (the DSM
+     * transparency the paper's rewriting-ratio experiment measures).
+     */
+    template <typename Array>
+    auto
+    get(const Array &arr, std::size_t i)
     {
-        Addr a = arr.addrOf(i);
-        ++instructions;
-        ++memAccesses;
-        return CallbackAwaitable<double>(
-            [this, a](std::function<void(double)> done) {
-                Tick t0 = now();
-                _node.master().load(
-                    a, [this, t0,
-                        done = std::move(done)](std::uint64_t v) {
-                        memTime += now() - t0;
-                        done(real(v));
-                    });
-            });
+        return loadAs<double>(arr.addrOf(i));
     }
 
-    CallbackAwaitable<std::uint64_t>
+    /** Store a double into a shared or private array. */
+    template <typename Array>
+    auto
+    put(const Array &arr, std::size_t i, double v)
+    {
+        return store(arr.addrOf(i), bits(v));
+    }
+
+    auto
     getBits(const ShmArray &arr, std::size_t i)
     {
         return load(arr.addrOf(i));
     }
 
-    VoidAwaitable
-    put(const ShmArray &arr, std::size_t i, double v)
-    {
-        return store(arr.addrOf(i), bits(v));
-    }
-
-    VoidAwaitable
+    auto
     putBits(const ShmArray &arr, std::size_t i, std::uint64_t v)
     {
         return store(arr.addrOf(i), v);
-    }
-
-    CallbackAwaitable<std::uint64_t>
-    loadPriv(const PrivArray &arr, std::size_t i)
-    {
-        return load(arr.addrOf(i));
-    }
-
-    /**
-     * Load element @p i of a private array as a double. The name
-     * matches the shared-array accessor deliberately: shared-memory
-     * programs read the same as private ones (the DSM transparency
-     * the paper's rewriting-ratio experiment measures).
-     */
-    CallbackAwaitable<double>
-    get(const PrivArray &arr, std::size_t i)
-    {
-        Addr a = arr.addrOf(i);
-        ++instructions;
-        ++memAccesses;
-        return CallbackAwaitable<double>(
-            [this, a](std::function<void(double)> done) {
-                Tick t0 = now();
-                _node.master().load(
-                    a, [this, t0,
-                        done = std::move(done)](std::uint64_t v) {
-                        memTime += now() - t0;
-                        done(real(v));
-                    });
-            });
-    }
-
-    VoidAwaitable
-    storePriv(const PrivArray &arr, std::size_t i, double v)
-    {
-        return store(arr.addrOf(i), bits(v));
-    }
-
-    /** Store a double into a private array (same name as shared). */
-    VoidAwaitable
-    put(const PrivArray &arr, std::size_t i, double v)
-    {
-        return store(arr.addrOf(i), bits(v));
     }
 
     // --- bulk (DMA) transfers ----------------------------------------
@@ -224,36 +212,15 @@ class Env
      * instructions (message payload bandwidth is charged by the
      * message-passing layer).
      */
-    CallbackAwaitable<std::vector<std::uint64_t>>
+    auto
     readRange(const PrivArray &arr, std::size_t offset,
               std::size_t count)
     {
-        return CallbackAwaitable<std::vector<std::uint64_t>>(
-            [this, arr, offset, count](
-                std::function<void(std::vector<std::uint64_t>)>
-                    done) {
+        return issue<std::vector<std::uint64_t>>(
+            nullptr, [this, arr, offset, count](auto done) {
                 _node.eq().scheduleAfter(
-                    dmaSetup,
-                    [this, arr, offset, count,
-                     done = std::move(done)] {
-                        std::vector<std::uint64_t> out;
-                        out.reserve(count);
-                        for (std::size_t i = 0; i < count; ++i) {
-                            Addr a = arr.addrOf(offset + i);
-                            const CacheLine *line =
-                                _node.cache().lookup(a);
-                            if (line) {
-                                out.push_back(
-                                    line->data
-                                        .w[(a & (blockBytes - 1)) /
-                                           8]);
-                            } else {
-                                out.push_back(
-                                    _node.privateMem().readWord(
-                                        addr_map::offset(a)));
-                            }
-                        }
-                        done(std::move(out));
+                    dmaSetup, [this, arr, offset, count, done] {
+                        done(dmaRead(arr, offset, count));
                     });
             });
     }
@@ -262,27 +229,17 @@ class Env
      * Write @p values into a private array at @p offset via DMA:
      * memory is updated and stale cached copies are invalidated.
      */
-    VoidAwaitable
+    auto
     writeRange(const PrivArray &arr, std::size_t offset,
                std::vector<std::uint64_t> values)
     {
-        return VoidAwaitable(
-            [this, arr, offset,
-             values = std::move(values)](
-                std::function<void()> done) {
+        return issue<void>(
+            nullptr, [this, arr, offset,
+                      values = std::move(values)](auto done) mutable {
                 _node.eq().scheduleAfter(
-                    dmaSetup, [this, arr, offset, values,
-                               done = std::move(done)] {
-                        for (std::size_t i = 0; i < values.size();
-                             ++i) {
-                            Addr a = arr.addrOf(offset + i);
-                            _node.privateMem().writeWord(
-                                addr_map::offset(a), values[i]);
-                            if (CacheLine *line =
-                                    _node.cache().lookup(a)) {
-                                line->state = CacheState::Invalid;
-                            }
-                        }
+                    dmaSetup, [this, arr, offset,
+                               values = std::move(values), done] {
+                        dmaWrite(arr, offset, values);
                         done();
                     });
             });
@@ -294,52 +251,40 @@ class Env
     // --- computation -------------------------------------------------
 
     /** Execute @p instrs non-memory instructions. */
-    VoidAwaitable
+    auto
     compute(std::uint64_t instrs)
     {
         instructions += instrs;
-        return VoidAwaitable(
-            [this, instrs](std::function<void()> done) {
-                Tick t = instrs * _node.timing().nsPerInstruction;
-                computeTime += t;
-                _node.eq().scheduleAfter(t, std::move(done));
-            });
+        return issue<void>(&computeTime, [this, instrs](auto done) {
+            Tick t = instrs * _node.timing().nsPerInstruction;
+            _node.eq().scheduleAfter(t, done);
+        });
     }
 
     // --- synchronization ----------------------------------------------
 
-    VoidAwaitable
+    auto
     barrier()
     {
         ++barriers;
-        return VoidAwaitable([this](std::function<void()> done) {
-            Tick t0 = now();
-            _sync.barrier([this, t0, done = std::move(done)] {
-                syncTime += now() - t0;
+        return issue<void>(&syncTime, [this](auto done) {
+            _sync.barrier([this, done] {
                 // A barrier is a phase boundary (src/policy/): the
-                // phase-priority backend orders conflicting
-                // requests by this epoch. Advancing inside the
-                // completion callback schedules nothing, so the
-                // other backends are bit-identically unaffected.
+                // phase-priority backend orders conflicting requests
+                // by this epoch. Advancing it schedules nothing, so
+                // the other backends are bit-identically unaffected.
                 _node.policy().advanceEpoch();
                 done();
             });
         });
     }
 
-    CallbackAwaitable<double>
+    auto
     allReduceSum(double v)
     {
-        return CallbackAwaitable<double>(
-            [this, v](std::function<void(double)> done) {
-                Tick t0 = now();
-                _sync.allReduceSum(
-                    v, [this, t0,
-                        done = std::move(done)](double total) {
-                        syncTime += now() - t0;
-                        done(total);
-                    });
-            });
+        return issue<double>(&syncTime, [this, v](auto done) {
+            _sync.allReduceSum(v, done);
+        });
     }
 
     // --- combinable typed atomics (ROADMAP item 4) -------------------
@@ -353,44 +298,36 @@ class Env
      * trees, depending on the transport's CombineMode). Counted as
      * synchronization time, like barriers.
      */
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomic(Addr a, CombineOp op, std::uint64_t operand)
     {
         ++instructions;
         ++memAccesses;
-        return CallbackAwaitable<std::uint64_t>(
-            [this, a, op,
-             operand](std::function<void(std::uint64_t)> done) {
-                Tick t0 = now();
-                _node.master().atomicOp(
-                    a, op, operand,
-                    [this, t0,
-                     done = std::move(done)](std::uint64_t v) {
-                        syncTime += now() - t0;
-                        done(v);
-                    });
+        return issue<std::uint64_t>(
+            &syncTime, [this, a, op, operand](auto done) {
+                _node.master().atomicOp(a, op, operand, done);
             });
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomicFetchAdd(Addr a, std::uint64_t v)
     {
         return atomic(a, CombineOp::FetchAdd, v);
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomicMin(Addr a, std::uint64_t v)
     {
         return atomic(a, CombineOp::Min, v);
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomicMax(Addr a, std::uint64_t v)
     {
         return atomic(a, CombineOp::Max, v);
     }
 
-    CallbackAwaitable<std::uint64_t>
+    auto
     atomicSwap(Addr a, std::uint64_t v)
     {
         return atomic(a, CombineOp::Swap, v);
@@ -399,37 +336,24 @@ class Env
     // --- message passing ------------------------------------------------
 
     /** Send; completes when the sender's processor is free. */
-    VoidAwaitable
+    auto
     send(NodeId dst, int tag, std::vector<std::uint64_t> payload,
          unsigned bytes = 0)
     {
-        return VoidAwaitable(
-            [this, dst, tag, payload = std::move(payload),
-             bytes](std::function<void()> done) mutable {
-                Tick t0 = now();
+        return issue<void>(
+            &commTime, [this, dst, tag, payload = std::move(payload),
+                        bytes](auto done) mutable {
                 _engine.send(dst, tag, std::move(payload), bytes,
-                             [this, t0, done = std::move(done)] {
-                                 commTime += now() - t0;
-                                 done();
-                             });
+                             done);
             });
     }
 
-    CallbackAwaitable<std::vector<std::uint64_t>>
+    auto
     recv(NodeId src, int tag)
     {
-        return CallbackAwaitable<std::vector<std::uint64_t>>(
-            [this, src,
-             tag](std::function<void(std::vector<std::uint64_t>)>
-                      done) {
-                Tick t0 = now();
-                _engine.recv(
-                    src, tag,
-                    [this, t0, done = std::move(done)](
-                        std::vector<std::uint64_t> p) {
-                        commTime += now() - t0;
-                        done(std::move(p));
-                    });
+        return issue<std::vector<std::uint64_t>>(
+            &commTime, [this, src, tag](auto done) {
+                _engine.recv(src, tag, done);
             });
     }
 
@@ -438,17 +362,13 @@ class Env
     static std::uint64_t
     bits(double v)
     {
-        std::uint64_t b;
-        std::memcpy(&b, &v, sizeof(b));
-        return b;
+        return std::bit_cast<std::uint64_t>(v);
     }
 
     static double
     real(std::uint64_t b)
     {
-        double v;
-        std::memcpy(&v, &b, sizeof(v));
-        return v;
+        return std::bit_cast<double>(b);
     }
 
     // --- per-node accounting (aggregated into Tables 3/4) -----------
@@ -463,6 +383,48 @@ class Env
     Tick finishTick = 0;
 
   private:
+    /** DMA read: cached words come from the cache, others memory. */
+    std::vector<std::uint64_t>
+    dmaRead(const PrivArray &arr, std::size_t offset,
+            std::size_t count)
+    {
+        std::vector<std::uint64_t> out;
+        out.reserve(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            Addr a = arr.addrOf(offset + i);
+            const CacheLine *line = _node.cache().lookup(a);
+            out.push_back(
+                line ? line->data.w[(a & (blockBytes - 1)) / 8]
+                     : _node.privateMem().readWord(
+                           addr_map::offset(a)));
+        }
+        return out;
+    }
+
+    /**
+     * DMA write. A cached line is written back before its word is
+     * overwritten and the line invalidated (as MasterModule::evict
+     * writes back a private line): its other Modified words live
+     * only in the cache.
+     */
+    void
+    dmaWrite(const PrivArray &arr, std::size_t offset,
+             const std::vector<std::uint64_t> &values)
+    {
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            Addr a = arr.addrOf(offset + i);
+            CacheLine *line = _node.cache().lookup(a);
+            if (line && line->state == CacheState::Modified) {
+                _node.privateMem().writeBlock(line->tag >> blockShift,
+                                              line->data);
+            }
+            _node.privateMem().writeWord(addr_map::offset(a),
+                                         values[i]);
+            if (line)
+                line->state = CacheState::Invalid;
+        }
+    }
+
     DsmNode &_node;
     MsgEngine &_engine;
     SyncEngine &_sync;

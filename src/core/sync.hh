@@ -14,10 +14,11 @@
 #define CENJU_CORE_SYNC_HH
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "msgpass/msg_engine.hh"
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -37,18 +38,18 @@ class SyncEngine
         : _engines(engines), _id(id)
     {}
 
-    /** Join the @p generation-th barrier; @p done when released. */
+    /** Join the next barrier; @p done fires when it is released. */
     void
-    barrier(std::function<void()> done)
+    barrier(InlineFunction<void(), 40> done)
     {
         int gen = _barrierGen++;
         reduceImpl(gen, 0.0, tagBarrier,
-                   [done = std::move(done)](double) { done(); });
+                   [done = std::move(done)](double) mutable { done(); });
     }
 
     /** Global sum; every node receives the total. */
     void
-    allReduceSum(double value, std::function<void(double)> done)
+    allReduceSum(double value, InlineFunction<void(double)> done)
     {
         int gen = _reduceGen++;
         reduceImpl(gen, value, tagReduce, std::move(done));
@@ -73,7 +74,7 @@ class SyncEngine
      */
     void
     reduceImpl(int gen, double value, int tag_base,
-               std::function<void(double)> done)
+               InlineFunction<void(double)> done)
     {
         unsigned n = numNodes();
         NodeId left = 2 * _id + 1;
@@ -81,48 +82,56 @@ class SyncEngine
         int up_tag = tag_base + 2 * gen;
         int down_tag = tag_base + 2 * gen + 1;
 
-        auto state = std::make_shared<CombineState>();
-        state->value = value;
-        state->pendingChildren = (left < n) + (right < n);
-        state->done = std::move(done);
-
-        auto proceed = [this, state, up_tag, down_tag] {
-            if (state->pendingChildren > 0)
-                return;
-            if (_id == 0) {
-                broadcastDown(state->value, down_tag);
-                state->done(state->value);
-                return;
-            }
-            NodeId parent = (_id - 1) / 2;
-            engine().send(
-                parent, up_tag, {bits(state->value)}, 8,
-                [this, state, down_tag] {
-                    // Wait for the broadcast result.
-                    NodeId parent2 = (_id - 1) / 2;
-                    engine().recv(
-                        parent2, down_tag,
-                        [this, state, down_tag](
-                            std::vector<std::uint64_t> payload) {
-                            double total = value_of(payload[0]);
-                            broadcastDown(total, down_tag);
-                            state->done(total);
-                        });
-                });
-        };
+        _op.value = value;
+        _op.pendingChildren = (left < n) + (right < n);
+        _op.done = std::move(done);
 
         for (NodeId child : {left, right}) {
             if (child >= n)
                 continue;
-            engine().recv(
-                child, up_tag,
-                [state, proceed](std::vector<std::uint64_t> p) {
-                    state->value += value_of(p[0]);
-                    --state->pendingChildren;
-                    proceed();
-                });
+            engine().recv(child, up_tag,
+                          [this, up_tag,
+                           down_tag](std::vector<std::uint64_t> p) {
+                              _op.value += value_of(p[0]);
+                              --_op.pendingChildren;
+                              proceed(up_tag, down_tag);
+                          });
         }
-        proceed();
+        proceed(up_tag, down_tag);
+    }
+
+    /** Once every child reported, pass the partial sum up. */
+    void
+    proceed(int up_tag, int down_tag)
+    {
+        if (_op.pendingChildren > 0)
+            return;
+        if (_id == 0) {
+            finish(_op.value, down_tag);
+            return;
+        }
+        NodeId parent = (_id - 1) / 2;
+        engine().send(parent, up_tag, {bits(_op.value)}, 8,
+                      [this, parent, down_tag] {
+                          // Wait for the broadcast result.
+                          engine().recv(
+                              parent, down_tag,
+                              [this, down_tag](
+                                  std::vector<std::uint64_t> p) {
+                                  finish(value_of(p[0]), down_tag);
+                              });
+                      });
+    }
+
+    /** Broadcast @p total down the tree and complete this node. */
+    void
+    finish(double total, int down_tag)
+    {
+        broadcastDown(total, down_tag);
+        // The completion resumes the program, which may start the
+        // next operation and refill _op: move it out first.
+        InlineFunction<void(double)> done = std::move(_op.done);
+        done(total);
     }
 
     void
@@ -154,17 +163,24 @@ class SyncEngine
         return v;
     }
 
+    /**
+     * The barrier or reduction in flight. A node has at most one:
+     * its single program awaits each before starting the next.
+     * done keeps the default 64-byte inline window so a barrier's
+     * wrapped 48-byte completion fits without a heap box.
+     */
     struct CombineState
     {
         double value = 0.0;
         int pendingChildren = 0;
-        std::function<void(double)> done;
+        InlineFunction<void(double)> done;
     };
 
     std::vector<std::unique_ptr<MsgEngine>> &_engines;
     NodeId _id;
     int _barrierGen = 0;
     int _reduceGen = 0;
+    CombineState _op;
 };
 
 } // namespace cenju

@@ -78,9 +78,6 @@ class Endpoint
     virtual void injectSpaceAvailable() {}
 };
 
-/** Historical name, from when the only transport was the network. */
-using NetEndpoint = Endpoint;
-
 /** Abstract interconnect connecting up to 1024 node endpoints. */
 class Transport
 {

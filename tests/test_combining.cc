@@ -134,7 +134,7 @@ struct TestPacket : Packet
 };
 
 /** Endpoint keeping every delivered packet for inspection. */
-class KeepEndpoint : public NetEndpoint
+class KeepEndpoint : public Endpoint
 {
   public:
     KeepEndpoint(Network &net, NodeId id) { net.attach(id, this); }

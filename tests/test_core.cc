@@ -180,24 +180,44 @@ TEST(Mapping, PrivateArraysPerNode)
 
 TEST(RunStats, CountsAndBreakdowns)
 {
-    DsmSystem sys(smallCfg(4));
+    // The time buckets below are pinned, so pin what they depend on
+    // against the CENJU_* environment defaults.
+    SystemConfig cfg = smallCfg(4);
+    cfg.transport = TransportKind::Multistage;
+    cfg.reliability = ReliabilityKind::Off;
+    cfg.proto.protocol = ProtocolKind::Queuing;
+    DsmSystem sys(cfg);
     ShmArray x = sys.shmAlloc(4 * 16, Mapping::blocked());
     PrivArray p = sys.privAlloc(16);
+    ShmArray counter = sys.shmAllocCombinable(1); // homed on node 0
     RunStats r = sys.run([&](Env &env) -> Task {
         co_await env.compute(100);
         co_await env.put(p, 0, 1.0);
         co_await env.put(x, env.id() * 16, 2.0); // local shared
         NodeId nb = (env.id() + 1) % env.numNodes();
         co_await env.get(x, nb * 16); // remote shared
+        co_await env.barrier();
+        co_await env.allReduceSum(1.0);
+        co_await env.atomicFetchAdd(counter.addrOf(0), 1);
+        std::vector<std::uint64_t> msg(1, env.id());
+        co_await env.send(nb, 1, std::move(msg));
+        co_await env.recv((env.id() + 3) % env.numNodes(), 1);
     });
 
-    EXPECT_EQ(r.memAccesses, 4u * 3u);
-    EXPECT_EQ(r.instructions, 4u * (100 + 3));
+    EXPECT_EQ(r.memAccesses, 4u * 4u);
+    EXPECT_EQ(r.instructions, 4u * (100 + 4));
     EXPECT_EQ(r.accPrivate, 4u);
-    EXPECT_EQ(r.accSharedLocal, 4u);
-    EXPECT_EQ(r.accSharedRemote, 4u);
+    EXPECT_EQ(r.accSharedLocal, 4u + 1u);
+    EXPECT_EQ(r.accSharedRemote, 4u + 3u);
     EXPECT_GT(r.execTime, 0u);
     EXPECT_GT(r.missRatio(), 0.0);
+
+    // Simulated time per bucket, summed over the nodes (Table 4's
+    // breakdown); the values pin today's timing model.
+    EXPECT_EQ(r.computeTime, 4u * 100u * 3u);
+    EXPECT_EQ(r.memTime, 10880u);
+    EXPECT_EQ(r.syncTime, 248456u);
+    EXPECT_EQ(r.commTime, 51922u);
 }
 
 TEST(RunStats, SecondRunStartsClean)
@@ -275,7 +295,7 @@ TEST(DsmSystem, DmaRangeTransfersAreCoherent)
     // see dirty cached data.
     DsmSystem sys(smallCfg(2));
     PrivArray p = sys.privAlloc(64);
-    std::vector<double> seen(3, 0);
+    std::vector<double> seen(4, 0);
     sys.run([&](Env &env) -> Task {
         if (env.id() != 0)
             co_return;
@@ -284,10 +304,14 @@ TEST(DsmSystem, DmaRangeTransfersAreCoherent)
         // DMA-read sees the dirty cached value.
         auto r = co_await env.readRange(p, 5, 1);
         seen[0] = Env::real(r[0]);
+        // Dirty a second word of the line: the DMA write below must
+        // write the line back before invalidating it.
+        co_await env.put(p, 4, 2.5);
         // DMA-write overwrites memory and invalidates the cache.
         std::vector<std::uint64_t> vals(1, Env::bits(9.0));
         co_await env.writeRange(p, 5, std::move(vals));
         seen[1] = co_await env.get(p, 5);
+        seen[3] = co_await env.get(p, 4);
         // Bulk round-trip.
         std::vector<std::uint64_t> many;
         for (int i = 0; i < 32; ++i)
@@ -302,6 +326,7 @@ TEST(DsmSystem, DmaRangeTransfersAreCoherent)
     EXPECT_DOUBLE_EQ(seen[0], 1.5);
     EXPECT_DOUBLE_EQ(seen[1], 9.0);
     EXPECT_DOUBLE_EQ(seen[2], 31.0 * 32.0 / 2.0);
+    EXPECT_DOUBLE_EQ(seen[3], 2.5);
 }
 
 } // namespace

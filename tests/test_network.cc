@@ -32,7 +32,7 @@ struct TestPacket : Packet
 };
 
 /** Endpoint that records deliveries, optionally bounded. */
-class RecordingEndpoint : public NetEndpoint
+class RecordingEndpoint : public Endpoint
 {
   public:
     RecordingEndpoint(Network &net, NodeId id,

@@ -51,7 +51,7 @@ namespace fs = std::filesystem;
 namespace
 {
 
-constexpr const char *kCatalogVersion = "4";
+constexpr const char *kCatalogVersion = "5";
 
 // ---------------------------------------------------------------
 // Rule catalog
@@ -159,7 +159,7 @@ const std::set<std::string> kSeamFiles = {
 /** Modules whose hot paths must not allocate (docs/PERF.md). */
 const std::set<std::string> kPoolGoverned = {
     "sim", "shard", "network", "transport", "protocol", "node",
-    "msgpass", "memory", "directory", "policy", "reliable",
+    "msgpass", "memory", "directory", "policy", "reliable", "core",
 };
 
 /** Modules whose behavior feeds the golden digests. */

@@ -249,7 +249,6 @@ runBenchMode(int argc, char **argv)
         "fig11b_efficiency",        "fig12_speedup",
         "table1_directory_schemes", "table2_load_latency",
         "table3_cache_miss",        "table4_app_characteristics",
-        "micro_components",
     };
 
     std::vector<BenchOutcome> results;
