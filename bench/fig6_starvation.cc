@@ -99,7 +99,7 @@ main()
             Outcome o = contend(k, nodes, 8);
             std::printf(
                 "%8u %14s %12llu %14llu %9.1f us %9.1f us %10zu\n",
-                nodes, protocolKindName(k),
+                nodes, nameOf(k),
                 (unsigned long long)o.nacks,
                 (unsigned long long)o.maxRetriesOneRequest,
                 o.firstDone / 1e3, o.lastDone / 1e3,

@@ -59,6 +59,21 @@ secondsSince(clk::time_point t0)
     return std::chrono::duration<double>(clk::now() - t0).count();
 }
 
+/** One row of the bench table: the bench and its parameters. */
+struct Bench
+{
+    const char *name;
+    Result (*fn)(const Bench &);
+    std::uint64_t work; ///< events, items, budget or ops per node
+    bool quickSkip = false;
+    // Parameters of the whole-system rows (stress, hotspot, reliable).
+    unsigned nodes = 0;
+    unsigned shards = 1;
+    TransportKind transport = TransportKind::Multistage;
+    ReliabilityKind reliability = ReliabilityKind::Off;
+    unsigned dropPeriod = 0; ///< drop every n-th arrival; 0 = none
+};
+
 /**
  * Scheduling throughput with a shallow queue: a ring of
  * self-rescheduling events whose closures carry a typical
@@ -67,10 +82,10 @@ secondsSince(clk::time_point t0)
  * past std::function's tiny inline buffer.
  */
 Result
-benchSchedRing(std::uint64_t total)
+benchSchedRing(const Bench &b)
 {
     EventQueue eq;
-    std::uint64_t remaining = total;
+    std::uint64_t remaining = b.work;
     std::uint64_t acc = 0;
     constexpr unsigned ring = 16;
 
@@ -105,16 +120,15 @@ benchSchedRing(std::uint64_t total)
     if (acc == 0)
         std::fprintf(stderr, "impossible\n"); // keep acc observable
     std::uint64_t ran = eq.executed();
-    return {"sched_ring", "events_per_sec", double(ran) / s, ran,
-            s};
+    return {b.name, "events_per_sec", double(ran) / s, ran, s};
 }
 
 /** Scheduling throughput against a deep pending-event heap. */
 Result
-benchSchedDeep(std::uint64_t total)
+benchSchedDeep(const Bench &b)
 {
     EventQueue eq;
-    std::uint64_t remaining = total;
+    std::uint64_t remaining = b.work;
     std::uint64_t acc = 0;
     constexpr unsigned depth = 1u << 15;
 
@@ -144,8 +158,7 @@ benchSchedDeep(std::uint64_t total)
     eq.run();
     double s = secondsSince(t0);
     std::uint64_t ran = eq.executed();
-    return {"sched_deep", "events_per_sec", double(ran) / s, ran,
-            s};
+    return {b.name, "events_per_sec", double(ran) / s, ran, s};
 }
 
 /** Endpoint that counts deliveries and immediately re-injects. */
@@ -199,13 +212,13 @@ struct BenchPacket : Packet
  * crosspoint buffers, per-hop callbacks).
  */
 Result
-benchPackets(std::uint64_t total)
+benchPackets(const Bench &b)
 {
     EventQueue eq;
     NetConfig cfg;
     cfg.numNodes = 64;
     Network net(eq, cfg);
-    std::uint64_t budget = total;
+    std::uint64_t budget = b.work;
     std::vector<std::unique_ptr<EchoEndpoint>> eps;
     for (NodeId n = 0; n < cfg.numNodes; ++n) {
         eps.push_back(
@@ -222,7 +235,7 @@ benchPackets(std::uint64_t total)
     eq.run();
     double s = secondsSince(t0);
     std::uint64_t delivered = net.deliveredCount();
-    return {"packets", "packets_per_sec", double(delivered) / s,
+    return {b.name, "packets_per_sec", double(delivered) / s,
             delivered, s};
 }
 
@@ -232,8 +245,9 @@ benchPackets(std::uint64_t total)
  * multicast tree needs (once per message with the cache).
  */
 Result
-benchMulticastDecode(std::uint64_t total)
+benchMulticastDecode(const Bench &b)
 {
+    const std::uint64_t total = b.work;
     constexpr unsigned nodes = 1024;
     Rng rng(12345);
     // A spread of sharer-set shapes, built once.
@@ -254,8 +268,7 @@ benchMulticastDecode(std::uint64_t total)
     double s = secondsSince(t0);
     if (members == 0)
         std::fprintf(stderr, "impossible\n");
-    return {"multicast_decode", "decodes_per_sec",
-            double(total) / s, total, s};
+    return {b.name, "decodes_per_sec", double(total) / s, total, s};
 }
 
 /**
@@ -264,8 +277,9 @@ benchMulticastDecode(std::uint64_t total)
  * read miss.
  */
 Result
-benchBitPatternAdd(std::uint64_t total)
+benchBitPatternAdd(const Bench &b)
 {
+    const std::uint64_t total = b.work;
     Rng rng(1);
     std::vector<NodeId> ids(1024);
     for (NodeId &v : ids)
@@ -284,8 +298,7 @@ benchBitPatternAdd(std::uint64_t total)
     double s = secondsSince(t0);
     if (packed + p.pack() == 0)
         std::fprintf(stderr, "impossible\n");
-    return {"bitpattern_add", "adds_per_sec", double(total) / s, total,
-            s};
+    return {b.name, "adds_per_sec", double(total) / s, total, s};
 }
 
 /**
@@ -295,8 +308,9 @@ benchBitPatternAdd(std::uint64_t total)
  * entry access.
  */
 Result
-benchMapPackUnpack(std::uint64_t total)
+benchMapPackUnpack(const Bench &b)
 {
+    const std::uint64_t total = b.work;
     Rng rng(3);
     std::vector<CenjuNodeMap> maps;
     for (std::uint32_t k : {2u, 8u, 64u}) {
@@ -316,8 +330,8 @@ benchMapPackUnpack(std::uint64_t total)
     double s = secondsSince(t0);
     if (members == 0)
         std::fprintf(stderr, "impossible\n");
-    return {"map_pack_unpack", "roundtrips_per_sec", double(total) / s,
-            total, s};
+    return {b.name, "roundtrips_per_sec", double(total) / s, total,
+            s};
 }
 
 /**
@@ -326,13 +340,13 @@ benchMapPackUnpack(std::uint64_t total)
  * replication batches it.
  */
 Result
-benchPacketAlloc(std::uint64_t total)
+benchPacketAlloc(const Bench &b)
 {
     std::vector<std::unique_ptr<CohPacket>> live;
     live.reserve(64);
     std::uint64_t made = 0;
     auto t0 = clk::now();
-    while (made < total) {
+    while (made < b.work) {
         for (unsigned i = 0; i < 64; ++i, ++made) {
             auto p = std::make_unique<CohPacket>();
             p->type = CohMsgType::Invalidate;
@@ -342,8 +356,7 @@ benchPacketAlloc(std::uint64_t total)
         live.clear();
     }
     double s = secondsSince(t0);
-    return {"packet_alloc", "packets_per_sec", double(made) / s,
-            made, s};
+    return {b.name, "packets_per_sec", double(made) / s, made, s};
 }
 
 /**
@@ -360,32 +373,19 @@ benchPacketAlloc(std::uint64_t total)
  * don't gate the quick run.
  */
 Result
-benchStress1024(std::uint64_t budget, unsigned shards,
-                const char *name)
+benchStress(const Bench &b)
 {
     fault::StressOptions opts;
-    opts.nodes = 1024;
-    opts.transport = TransportKind::Ideal;
+    opts.nodes = b.nodes;
+    opts.transport = b.transport;
     fault::StressCase c = fault::makeStressCase(1, opts);
     auto t0 = clk::now();
-    fault::StressResult r = fault::runStressCase(c, budget, shards);
+    fault::StressResult r = fault::runStressCase(c, b.work, b.shards);
     double s = secondsSince(t0);
     if (r.digest == 0)
         std::fprintf(stderr, "impossible\n"); // keep run observable
-    return {name, "events_per_sec", double(r.events) / s, r.events,
+    return {b.name, "events_per_sec", double(r.events) / s, r.events,
             s};
-}
-
-Result
-benchStress1024Seq(std::uint64_t budget)
-{
-    return benchStress1024(budget, 1, "stress_1024_seq");
-}
-
-Result
-benchStress1024Sh8(std::uint64_t budget)
-{
-    return benchStress1024(budget, 8, "stress_1024_sh8");
 }
 
 /**
@@ -404,28 +404,27 @@ benchStress1024Sh8(std::uint64_t budget)
  * a serializing receive port at every tree level.
  */
 Result
-benchHotspot(unsigned nodes, TransportKind t, const char *name,
-             std::uint64_t opsPerNode)
+benchHotspot(const Bench &b)
 {
     SystemConfig cfg;
-    cfg.numNodes = nodes;
-    cfg.transport = t;
+    cfg.numNodes = b.nodes;
+    cfg.transport = b.transport;
     cfg.proto.runtimeChecks = false;
     auto t0 = clk::now();
     DsmSystem sys(cfg);
     ShmArray ctr = sys.shmAllocCombinable(1);
     Addr a = ctr.addrOf(0);
     RunStats rs = sys.run([&](Env &env) -> Task {
-        for (std::uint64_t i = 0; i < opsPerNode; ++i)
+        for (std::uint64_t i = 0; i < b.work; ++i)
             (void)co_await env.atomicFetchAdd(a, 1);
         co_await env.barrier();
     });
     double s = secondsSince(t0);
     if (std::getenv("CENJU_BENCH_DEBUG") &&
-        t == TransportKind::Multistage)
+        b.transport == TransportKind::Multistage)
         std::fprintf(stderr,
                      "%s: merged=%llu skipped=%llu ticks=%llu\n",
-                     name,
+                     b.name,
                      (unsigned long long)sys.network()
                          .combineMerged()
                          .value(),
@@ -433,46 +432,18 @@ benchHotspot(unsigned nodes, TransportKind t, const char *name,
                          .combineSkipped()
                          .value(),
                      (unsigned long long)rs.execTime);
-    const std::uint64_t total = nodes * opsPerNode;
+    const std::uint64_t total = b.nodes * b.work;
     const std::uint64_t final =
         sys.node(addr_map::homeNode(a))
             .sharedMem()
             .readWord(addr_map::offset(a));
     if (final != total || rs.execTime == 0)
         std::fprintf(stderr,
-                     "hotspot %s: bad sum %llu != %llu\n", name,
+                     "hotspot %s: bad sum %llu != %llu\n", b.name,
                      (unsigned long long)final,
                      (unsigned long long)total);
-    return {name, "atomics_per_sim_ms",
+    return {b.name, "atomics_per_sim_ms",
             double(total) * 1e6 / double(rs.execTime), total, s};
-}
-
-Result
-benchHotspot256Multistage(std::uint64_t ops)
-{
-    return benchHotspot(256, TransportKind::Multistage,
-                        "hotspot_256_multistage", ops);
-}
-
-Result
-benchHotspot256Direct(std::uint64_t ops)
-{
-    return benchHotspot(256, TransportKind::Direct,
-                        "hotspot_256_direct", ops);
-}
-
-Result
-benchHotspot1024Multistage(std::uint64_t ops)
-{
-    return benchHotspot(1024, TransportKind::Multistage,
-                        "hotspot_1024_multistage", ops);
-}
-
-Result
-benchHotspot1024Direct(std::uint64_t ops)
-{
-    return benchHotspot(1024, TransportKind::Direct,
-                        "hotspot_1024_direct", ops);
 }
 
 /**
@@ -487,7 +458,7 @@ benchHotspot1024Direct(std::uint64_t ops)
  * for the same reason the stress goldens pin it.
  */
 Result
-benchCohQueuing256(std::uint64_t opsPerNode)
+benchCohQueuing256(const Bench &b)
 {
     SystemConfig cfg;
     cfg.numNodes = 256;
@@ -507,21 +478,21 @@ benchCohQueuing256(std::uint64_t opsPerNode)
             });
         };
     for (NodeId n = 0; n < cfg.numNodes; ++n)
-        kick(n, opsPerNode);
+        kick(n, b.work);
     sys.eq().run();
     double s = secondsSince(t0);
-    const std::uint64_t total = cfg.numNodes * opsPerNode;
+    const std::uint64_t total = cfg.numNodes * b.work;
     if (done != total || sys.eq().now() == 0 ||
         sys.node(0).home().nacksSent.value() != 0)
         std::fprintf(stderr,
-                     "coh_queuing_256: bad run (%llu/%llu done, "
-                     "%llu nacks)\n",
+                     "%s: bad run (%llu/%llu done, %llu nacks)\n",
+                     b.name,
                      (unsigned long long)done,
                      (unsigned long long)total,
                      (unsigned long long)sys.node(0)
                          .home()
                          .nacksSent.value());
-    return {"coh_queuing_256", "stores_per_sim_ms",
+    return {b.name, "stores_per_sim_ms",
             double(total) * 1e6 / double(sys.eq().now()), total,
             s};
 }
@@ -548,18 +519,17 @@ benchCohQueuing256(std::uint64_t opsPerNode)
  * full runs gate exactly.
  */
 Result
-benchReliableStores(ReliabilityKind rel, unsigned dropPeriod,
-                    const char *name, std::uint64_t opsPerNode)
+benchReliableStores(const Bench &b)
 {
     SystemConfig cfg;
     cfg.numNodes = 64;
-    cfg.reliability = rel;
+    cfg.reliability = b.reliability;
     cfg.proto.runtimeChecks = false;
     cfg.proto.cacheBytes = 4096; // 32 lines: force wire traffic
     auto t0 = clk::now();
     DsmSystem sys(cfg);
     fault::FaultInjector injector(sys);
-    if (dropPeriod != 0) {
+    if (b.dropPeriod != 0) {
         fault::FaultPlan plan;
         for (unsigned n = 0; n < cfg.numNodes; ++n) {
             fault::FaultEvent e;
@@ -567,7 +537,7 @@ benchReliableStores(ReliabilityKind rel, unsigned dropPeriod,
             e.start = 0;
             e.duration = Tick(1) << 40;
             e.node = n;
-            e.amount = dropPeriod;
+            e.amount = b.dropPeriod;
             plan.events.push_back(e);
         }
         injector.arm(plan);
@@ -575,53 +545,18 @@ benchReliableStores(ReliabilityKind rel, unsigned dropPeriod,
     constexpr unsigned blocksPerNode = 64; // > cache lines: evicts
     RunStats rs = sys.run([&](Env &env) -> Task {
         NodeId home = NodeId((env.id() + 1) % cfg.numNodes);
-        for (std::uint64_t i = 0; i < opsPerNode; ++i) {
+        for (std::uint64_t i = 0; i < b.work; ++i) {
             Addr a = addr_map::makeShared(
                 home, Addr(i % blocksPerNode) * blockBytes);
             co_await env.store(a, i + 1);
         }
     });
     double s = secondsSince(t0);
-    const std::uint64_t total = cfg.numNodes * opsPerNode;
+    const std::uint64_t total = cfg.numNodes * b.work;
     if (rs.execTime == 0)
         std::fprintf(stderr, "impossible\n");
-    return {name, "stores_per_sim_ms",
+    return {b.name, "stores_per_sim_ms",
             double(total) * 1e6 / double(rs.execTime), total, s};
-}
-
-Result
-benchReliableOff(std::uint64_t ops)
-{
-    return benchReliableStores(ReliabilityKind::Off, 0,
-                               "reliable_off", ops);
-}
-
-Result
-benchReliableE2e(std::uint64_t ops)
-{
-    return benchReliableStores(ReliabilityKind::E2e, 0,
-                               "reliable_e2e", ops);
-}
-
-Result
-benchReliableGoodputP16(std::uint64_t ops)
-{
-    return benchReliableStores(ReliabilityKind::E2e, 16,
-                               "reliable_goodput_p16", ops);
-}
-
-Result
-benchReliableGoodputP4(std::uint64_t ops)
-{
-    return benchReliableStores(ReliabilityKind::E2e, 4,
-                               "reliable_goodput_p4", ops);
-}
-
-Result
-benchReliableGoodputP3(std::uint64_t ops)
-{
-    return benchReliableStores(ReliabilityKind::E2e, 3,
-                               "reliable_goodput_p3", ops);
 }
 
 // --- JSON output and baseline comparison --------------------------
@@ -683,6 +618,32 @@ readBaseline(const std::string &path)
     return out;
 }
 
+/**
+ * Append the derived row @p name = @p num / @p den (by value) and
+ * print it, if both rows ran and @p den's value is positive.
+ * @return the new row, or nullptr if it could not be derived
+ */
+const Result *
+addRatio(std::vector<Result> &rs, const char *name,
+         const char *metric, const char *num, const char *den)
+{
+    auto find = [&rs](const char *row) -> const Result * {
+        for (const Result &r : rs) {
+            if (r.name == row)
+                return &r;
+        }
+        return nullptr;
+    };
+    const Result *n = find(num), *d = find(den);
+    if (!n || !d || d->value <= 0)
+        return nullptr;
+    rs.push_back({name, metric, n->value / d->value, 0, 0});
+    const Result &r = rs.back();
+    std::printf("%-18s %16s %14.2f %10s\n", r.name.c_str(),
+                r.metric.c_str(), r.value, "-");
+    return &r;
+}
+
 int
 usage(const char *argv0)
 {
@@ -735,13 +696,6 @@ main(int argc, char **argv)
     }
 
     const std::uint64_t scale = quick ? 1 : 8;
-    struct Bench
-    {
-        const char *name;
-        Result (*fn)(std::uint64_t);
-        std::uint64_t work;
-        bool quickSkip = false;
-    };
     const Bench benches[] = {
         {"sched_ring", benchSchedRing, 1000000 * scale},
         {"sched_deep", benchSchedDeep, 500000 * scale},
@@ -751,16 +705,24 @@ main(int argc, char **argv)
         {"bitpattern_add", benchBitPatternAdd, 20000000 * scale},
         {"map_pack_unpack", benchMapPackUnpack, 5000000 * scale},
         {"packet_alloc", benchPacketAlloc, 1000000 * scale},
-        {"stress_1024_seq", benchStress1024Seq, 2000000, true},
-        {"stress_1024_sh8", benchStress1024Sh8, 2000000, true},
+        {.name = "stress_1024_seq", .fn = benchStress, .work = 2000000,
+         .quickSkip = true, .nodes = 1024,
+         .transport = TransportKind::Ideal},
+        {.name = "stress_1024_sh8", .fn = benchStress, .work = 2000000,
+         .quickSkip = true, .nodes = 1024, .shards = 8,
+         .transport = TransportKind::Ideal},
         // Hot-spot work items are NOT scaled: the metric is
         // simulated-time-derived, so quick and full runs produce
         // the same value and the quick run can gate exactly.
-        {"hotspot_256_multistage", benchHotspot256Multistage, 16},
-        {"hotspot_256_direct", benchHotspot256Direct, 16},
-        {"hotspot_1024_multistage", benchHotspot1024Multistage, 8,
-         true},
-        {"hotspot_1024_direct", benchHotspot1024Direct, 8, true},
+        {.name = "hotspot_256_multistage", .fn = benchHotspot,
+         .work = 16, .nodes = 256},
+        {.name = "hotspot_256_direct", .fn = benchHotspot, .work = 16,
+         .nodes = 256, .transport = TransportKind::Direct},
+        {.name = "hotspot_1024_multistage", .fn = benchHotspot,
+         .work = 8, .quickSkip = true, .nodes = 1024},
+        {.name = "hotspot_1024_direct", .fn = benchHotspot, .work = 8,
+         .quickSkip = true, .nodes = 1024,
+         .transport = TransportKind::Direct},
         // Simulated-time metric like the hot-spot pair: quick and
         // full runs produce the same value, so the quick CI gate
         // checks the queuing conflict path exactly.
@@ -768,11 +730,18 @@ main(int argc, char **argv)
         // Reliability decorator: clean-path overhead pair plus the
         // goodput-vs-loss-rate curve. Simulated-time metrics, so
         // the quick run gates them exactly too.
-        {"reliable_off", benchReliableOff, 96},
-        {"reliable_e2e", benchReliableE2e, 96},
-        {"reliable_goodput_p16", benchReliableGoodputP16, 96},
-        {"reliable_goodput_p4", benchReliableGoodputP4, 96},
-        {"reliable_goodput_p3", benchReliableGoodputP3, 96},
+        {.name = "reliable_off", .fn = benchReliableStores, .work = 96},
+        {.name = "reliable_e2e", .fn = benchReliableStores, .work = 96,
+         .reliability = ReliabilityKind::E2e},
+        {.name = "reliable_goodput_p16", .fn = benchReliableStores,
+         .work = 96, .reliability = ReliabilityKind::E2e,
+         .dropPeriod = 16},
+        {.name = "reliable_goodput_p4", .fn = benchReliableStores,
+         .work = 96, .reliability = ReliabilityKind::E2e,
+         .dropPeriod = 4},
+        {.name = "reliable_goodput_p3", .fn = benchReliableStores,
+         .work = 96, .reliability = ReliabilityKind::E2e,
+         .dropPeriod = 3},
     };
 
     std::vector<Result> results;
@@ -783,92 +752,40 @@ main(int argc, char **argv)
             continue;
         if (b.quickSkip && quick)
             continue;
-        Result r = b.fn(b.work);
+        Result r = b.fn(b);
         std::printf("%-18s %16s %14.0f %10.3f\n", r.name.c_str(),
                     r.metric.c_str(), r.value, r.seconds);
         results.push_back(std::move(r));
     }
 
-    // Derived shard-scaling metric: events/sec ratio of the 8-shard
-    // run over sequential at 1024 nodes (bounded by the host's
-    // hardware threads; 1.0 means no parallel win).
-    {
-        const Result *seq = nullptr, *sh8 = nullptr;
-        for (const Result &r : results) {
-            if (r.name == "stress_1024_seq")
-                seq = &r;
-            else if (r.name == "stress_1024_sh8")
-                sh8 = &r;
-        }
-        if (seq && sh8 && seq->value > 0) {
-            Result ratio{"stress_1024_speedup", "x_seq",
-                         sh8->value / seq->value, 0, 0};
-            std::printf("%-18s %16s %14.2f %10s\n",
-                        ratio.name.c_str(), ratio.metric.c_str(),
-                        ratio.value, "-");
-            results.push_back(std::move(ratio));
-        }
-    }
-
-    // Derived combining metric: simulated hot-spot throughput of
-    // in-network combining over the direct software-tree baseline
-    // at 1024 nodes (> 1 means combining wins; both inputs are
-    // deterministic, so this ratio is too).
-    for (unsigned n : {256u, 1024u}) {
-        const Result *multi = nullptr, *direct = nullptr;
-        std::string mName =
-            "hotspot_" + std::to_string(n) + "_multistage";
-        std::string dName =
-            "hotspot_" + std::to_string(n) + "_direct";
-        for (const Result &r : results) {
-            if (r.name == mName)
-                multi = &r;
-            else if (r.name == dName)
-                direct = &r;
-        }
-        if (multi && direct && direct->value > 0) {
-            Result ratio{"hotspot_" + std::to_string(n) +
-                             "_combining_speedup",
-                         "x_direct", multi->value / direct->value,
-                         0, 0};
-            std::printf("%-18s %16s %14.2f %10s\n",
-                        ratio.name.c_str(), ratio.metric.c_str(),
-                        ratio.value, "-");
-            results.push_back(std::move(ratio));
-        }
-    }
-
-    // Derived reliability metric and in-bench gate: clean-path
-    // throughput of the decorator over the bare backend. Both
-    // inputs are simulated-time metrics on an identical workload,
-    // so the ratio is deterministic; the decorator's contract is
-    // that exactly-once bookkeeping costs nothing on a clean wire
-    // (acks are out of band), with 5% headroom.
-    bool overheadBad = false;
-    {
-        const Result *off = nullptr, *e2e = nullptr;
-        for (const Result &r : results) {
-            if (r.name == "reliable_off")
-                off = &r;
-            else if (r.name == "reliable_e2e")
-                e2e = &r;
-        }
-        if (off && e2e && off->value > 0) {
-            Result ratio{"reliable_e2e_clean_ratio", "x_off",
-                         e2e->value / off->value, 0, 0};
-            std::printf("%-18s %16s %14.2f %10s\n",
-                        ratio.name.c_str(), ratio.metric.c_str(),
-                        ratio.value, "-");
-            if (ratio.value < 0.95) {
-                std::printf("REGRESSION reliable_e2e: clean-path "
-                            "throughput %.3fx of reliable_off "
-                            "(floor 0.95)\n",
-                            ratio.value);
-                overheadBad = true;
-            }
-            results.push_back(std::move(ratio));
-        }
-    }
+    // Derived rows, each only when both of its inputs ran. Shard
+    // scaling: 8-shard over sequential events/sec at 1024 nodes
+    // (bounded by the host's hardware threads; 1.0 means no
+    // parallel win).
+    addRatio(results, "stress_1024_speedup", "x_seq",
+             "stress_1024_sh8", "stress_1024_seq");
+    // Combining: simulated hot-spot throughput of in-network
+    // combining over the direct software-tree baseline (> 1 means
+    // combining wins; both inputs are deterministic, so this ratio
+    // is too).
+    addRatio(results, "hotspot_256_combining_speedup", "x_direct",
+             "hotspot_256_multistage", "hotspot_256_direct");
+    addRatio(results, "hotspot_1024_combining_speedup", "x_direct",
+             "hotspot_1024_multistage", "hotspot_1024_direct");
+    // Reliability, gated in-bench: clean-path throughput of the
+    // decorator over the bare backend. Both inputs are
+    // simulated-time metrics on an identical workload, so the ratio
+    // is deterministic; the decorator's contract is that
+    // exactly-once bookkeeping costs nothing on a clean wire (acks
+    // are out of band), with 5% headroom.
+    const Result *clean =
+        addRatio(results, "reliable_e2e_clean_ratio", "x_off",
+                 "reliable_e2e", "reliable_off");
+    bool overheadBad = clean && clean->value < 0.95;
+    if (overheadBad)
+        std::printf("REGRESSION reliable_e2e: clean-path throughput "
+                    "%.3fx of reliable_off (floor 0.95)\n",
+                    clean->value);
 
     if (!outFile.empty())
         writeJson(outFile, results, quick);

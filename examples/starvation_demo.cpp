@@ -30,8 +30,7 @@ runDemo(ProtocolKind kind, unsigned nodes)
     DsmSystem sys(cfg);
     Addr hot = addr_map::makeShared(0, 0);
 
-    std::printf("\n--- %s protocol ---\n",
-                kind == ProtocolKind::Nack ? "nack" : "queuing");
+    std::printf("\n--- %s protocol ---\n", nameOf(kind));
 
     std::vector<Tick> wait_total(nodes, 0);
     std::vector<unsigned> done_count(nodes, 0);

@@ -24,25 +24,10 @@
 #include <sstream>
 
 #include "memory/address_map.hh"
+#include "sim/text.hh"
 
 namespace cenju::check
 {
-
-const char *
-opKindName(OpKind k)
-{
-    switch (k) {
-      case OpKind::Load:
-        return "load";
-      case OpKind::Store:
-        return "store";
-      case OpKind::Flush:
-        return "flush";
-      case OpKind::Epoch:
-        return "epoch";
-    }
-    return "?";
-}
 
 Addr
 blockAddress(const CheckConfig &cfg, unsigned block)
@@ -68,13 +53,13 @@ serializeTrace(const Trace &t)
     os << "# cenju modelcheck trace\n";
     os << "nodes " << t.cfg.nodes << "\n";
     os << "blocks " << t.cfg.blocks << "\n";
-    os << "protocol " << protocolKindName(t.cfg.protocol) << "\n";
-    os << "bug " << protoBugName(t.cfg.bug) << "\n";
+    os << "protocol " << nameOf(t.cfg.protocol) << "\n";
+    os << "bug " << nameOf(t.cfg.bug) << "\n";
     for (const auto &batch : t.batches) {
         os << "batch";
         bool first = true;
         for (const Op &op : batch) {
-            os << (first ? " " : " | ") << opKindName(op.kind)
+            os << (first ? " " : " | ") << nameOf(op.kind)
                << " n" << op.node;
             if (op.kind != OpKind::Epoch)
                 os << " b" << op.block;
@@ -96,15 +81,7 @@ parseOp(const std::string &text, Op &op, std::string &err)
     std::istringstream is(text);
     std::string kind;
     is >> kind;
-    if (kind == "load") {
-        op.kind = OpKind::Load;
-    } else if (kind == "store") {
-        op.kind = OpKind::Store;
-    } else if (kind == "flush") {
-        op.kind = OpKind::Flush;
-    } else if (kind == "epoch") {
-        op.kind = OpKind::Epoch;
-    } else {
+    if (!parseName(kind, op.kind)) {
         err = "unknown operation '" + kind + "'";
         return false;
     }
@@ -112,31 +89,22 @@ parseOp(const std::string &text, Op &op, std::string &err)
     bool have_node = false, have_block = false,
          have_value = false;
     while (is >> tok) {
-        if (tok.size() < 2) {
-            err = "bad operand '" + tok + "'";
-            return false;
-        }
-        unsigned long v = 0;
-        try {
-            v = std::stoul(tok.substr(1));
-        } catch (...) {
-            err = "bad operand '" + tok + "'";
-            return false;
-        }
+        std::string_view num = std::string_view(tok).substr(1);
+        bool ok = false;
         switch (tok[0]) {
           case 'n':
-            op.node = static_cast<NodeId>(v);
-            have_node = true;
+            ok = have_node = parseUnsigned(num, op.node);
             break;
           case 'b':
-            op.block = static_cast<unsigned>(v);
-            have_block = true;
+            ok = have_block = parseUnsigned(num, op.block);
             break;
           case 'v':
-            op.value = v;
-            have_value = true;
+            ok = have_value = parseUnsigned(num, op.value);
             break;
           default:
+            break;
+        }
+        if (!ok) {
             err = "bad operand '" + tok + "'";
             return false;
         }
@@ -179,31 +147,23 @@ parseTrace(const std::string &text, Trace &out, std::string &err)
             err = "line " + std::to_string(lineno) + ": " + why;
             return false;
         };
+        std::string value;
+        auto set = [&](auto &field) {
+            ls >> value;
+            return parseValue(value, field);
+        };
         if (key == "nodes") {
-            if (!(ls >> out.cfg.nodes) || out.cfg.nodes == 0)
-                return fail("bad node count");
+            if (!set(out.cfg.nodes) || out.cfg.nodes == 0)
+                return fail("bad node count '" + value + "'");
         } else if (key == "blocks") {
-            if (!(ls >> out.cfg.blocks) || out.cfg.blocks == 0)
-                return fail("bad block count");
+            if (!set(out.cfg.blocks) || out.cfg.blocks == 0)
+                return fail("bad block count '" + value + "'");
         } else if (key == "protocol") {
-            std::string p;
-            ls >> p;
-            if (!protocolKindFromName(p.c_str(),
-                                      out.cfg.protocol)) {
-                return fail("unknown protocol '" + p + "'");
-            }
+            if (!set(out.cfg.protocol))
+                return fail("unknown protocol '" + value + "'");
         } else if (key == "bug") {
-            std::string b;
-            ls >> b;
-            if (b == "none") {
-                out.cfg.bug = ProtoBug::None;
-            } else if (b == "skip-reservation") {
-                out.cfg.bug = ProtoBug::SkipReservation;
-            } else if (b == "drop-sharer") {
-                out.cfg.bug = ProtoBug::DropSharer;
-            } else {
-                return fail("unknown bug '" + b + "'");
-            }
+            if (!set(out.cfg.bug))
+                return fail("unknown bug '" + value + "'");
         } else if (key == "batch") {
             std::string rest;
             std::getline(ls, rest);

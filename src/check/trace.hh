@@ -15,6 +15,7 @@
 #ifndef CENJU_CHECK_TRACE_HH
 #define CENJU_CHECK_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,7 +35,12 @@ enum class OpKind : std::uint8_t
     Epoch, ///< advance the node's phase epoch (phase-priority only)
 };
 
-const char *opKindName(OpKind k);
+/** Operation names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(OpKind)
+{
+    return std::array{"load", "store", "flush", "epoch"};
+}
 
 /** One operation of a batch. */
 struct Op

@@ -351,7 +351,7 @@ DsmSystem::replayTrace(const check::Trace &t)
                 const check::Op &op = batch[i];
                 warn("replay batch %zu: %s n%u b%u never "
                      "completed (starved)",
-                     bi, check::opKindName(op.kind), op.node,
+                     bi, nameOf(op.kind), op.node,
                      op.block);
                 all_done = false;
             }

@@ -38,6 +38,7 @@
 #include "node/dsm_node.hh"
 #include "reliable/kind.hh"
 #include "sim/event_queue.hh"
+#include "sim/text.hh"
 
 namespace cenju
 {
@@ -65,20 +66,22 @@ struct SystemConfig
     /**
      * Interconnect backend (docs/ARCHITECTURE.md): the multistage
      * fabric by default, overridable per process with
-     * CENJU_TRANSPORT=multistage|ideal|direct.
+     * CENJU_TRANSPORT=<name>.
      */
-    TransportKind transport = defaultTransportKind();
+    TransportKind transport =
+        envOr("CENJU_TRANSPORT", TransportKind::Multistage);
 
     /**
      * Delivery-guarantee layer (docs/ARCHITECTURE.md "Reliability
      * layer"): e2e wraps the transport backend in the go-back-N
      * reliability decorator, which is what makes the illegal
      * drop/dup/corrupt fault classes survivable. Off by default,
-     * overridable per process with CENJU_RELIABILITY=off|e2e. The
+     * overridable per process with CENJU_RELIABILITY=<name>. The
      * wrapper has no cross-shard latency floor, so e2e systems
      * always clamp to one shard.
      */
-    ReliabilityKind reliability = defaultReliabilityKind();
+    ReliabilityKind reliability =
+        envOr("CENJU_RELIABILITY", ReliabilityKind::Off);
 
     /**
      * Simulation shards (docs/ARCHITECTURE.md "Sharded parallel

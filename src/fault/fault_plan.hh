@@ -24,9 +24,11 @@
 #ifndef CENJU_FAULT_FAULT_PLAN_HH
 #define CENJU_FAULT_FAULT_PLAN_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
+#include "sim/text.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -57,11 +59,21 @@ enum class FaultKind : std::uint8_t
     CorruptPayload, ///< arriving data packets' checksums damaged
 };
 
+/** Serialized kind names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(FaultKind)
+{
+    return std::array{"inject-squeeze", "xb-squeeze", "switch-stall",
+                      "delivery-hold",  "output-hold", "home-stall",
+                      "gather-hold",    "drop-msg",    "dup-msg",
+                      "corrupt-payload"};
+}
+
 /** Legal kinds only — the range randomPlan() draws from. */
 constexpr unsigned numFaultKinds = 7;
 
-/** Every kind, including the loss kinds (name tables, parsing). */
-constexpr unsigned numTotalFaultKinds = 10;
+/** Every kind, including the loss kinds. */
+constexpr unsigned numTotalFaultKinds = numNames<FaultKind>;
 
 /** True for the loss kinds, which bare backends must reject. */
 constexpr bool
@@ -69,12 +81,6 @@ isLossFault(FaultKind k)
 {
     return static_cast<unsigned>(k) >= numFaultKinds;
 }
-
-/** Serialized kind name ("inject-squeeze", ...). */
-const char *faultKindName(FaultKind k);
-
-/** Parse a kind name. @retval false if @p s names none */
-bool faultKindFromName(const std::string &s, FaultKind &out);
 
 /**
  * One timed fault window. Which fields are meaningful depends on

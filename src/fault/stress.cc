@@ -11,22 +11,10 @@
 #include "reliable/reliable_transport.hh"
 #include "shard/sharded_engine.hh"
 #include "sim/rng.hh"
+#include "sim/text.hh"
 
 namespace cenju::fault
 {
-
-bool
-protoBugFromName(const std::string &s, ProtoBug &out)
-{
-    for (auto b : {ProtoBug::None, ProtoBug::SkipReservation,
-                   ProtoBug::DropSharer}) {
-        if (s == protoBugName(b)) {
-            out = b;
-            return true;
-        }
-    }
-    return false;
-}
 
 StressCase
 makeStressCase(std::uint64_t seed, const StressOptions &opts)
@@ -447,14 +435,12 @@ serializeCase(const StressCase &c)
     os << (v2 ? "stresscase v2\n" : "stresscase v1\n");
     os << "nodes " << c.nodes << "\n";
     os << "xbcap " << c.xbCapacity << "\n";
-    os << "transport " << transportKindName(c.transport) << "\n";
-    os << "protocol " << protocolKindName(c.protocol) << "\n";
+    os << "transport " << nameOf(c.transport) << "\n";
+    os << "protocol " << nameOf(c.protocol) << "\n";
     if (v2)
-        os << "reliability " << reliabilityKindName(c.reliability)
-           << "\n";
-    os << "bug " << protoBugName(c.bug) << "\n";
-    os << "pattern " << stressPatternName(c.workload.pattern)
-       << "\n";
+        os << "reliability " << nameOf(c.reliability) << "\n";
+    os << "bug " << nameOf(c.bug) << "\n";
+    os << "pattern " << nameOf(c.workload.pattern) << "\n";
     os << "blocks " << c.workload.blocks << "\n";
     os << "ops " << c.workload.opsPerNode << "\n";
     os << "rounds " << c.workload.rounds << "\n";
@@ -469,49 +455,36 @@ bool
 applyCaseKey(StressCase &c, const std::string &key,
              const std::string &value, std::string &err)
 {
-    if (key == "nodes")
-        c.nodes = unsigned(std::stoul(value));
-    else if (key == "xbcap")
-        c.xbCapacity = unsigned(std::stoul(value));
-    else if (key == "transport") {
-        if (!transportKindFromName(value.c_str(), c.transport)) {
-            err = "bad transport name: " + value;
-            return false;
-        }
-    } else if (key == "protocol") {
-        if (!protocolKindFromName(value.c_str(), c.protocol)) {
-            err = "bad protocol name: " + value;
-            return false;
-        }
-    } else if (key == "reliability") {
-        if (!reliabilityKindFromName(value.c_str(),
-                                     c.reliability)) {
-            err = "bad reliability name: " + value;
-            return false;
-        }
-    } else if (key == "bug") {
-        if (!protoBugFromName(value, c.bug)) {
-            err = "bad bug name: " + value;
-            return false;
-        }
-    } else if (key == "pattern") {
-        if (!stressPatternFromName(value, c.workload.pattern)) {
-            err = "bad pattern name: " + value;
-            return false;
-        }
-    } else if (key == "blocks")
-        c.workload.blocks = unsigned(std::stoul(value));
-    else if (key == "ops")
-        c.workload.opsPerNode = unsigned(std::stoul(value));
-    else if (key == "rounds")
-        c.workload.rounds = unsigned(std::stoul(value));
-    else if (key == "wseed")
-        c.workload.seed = std::stoull(value);
-    else {
-        err = "unknown key '" + key + "'";
+    auto set = [&](auto &field) {
+        if (parseValue(value, field))
+            return true;
+        err = "bad value for '" + key + "': " + value;
         return false;
-    }
-    return true;
+    };
+    if (key == "nodes")
+        return set(c.nodes);
+    if (key == "xbcap")
+        return set(c.xbCapacity);
+    if (key == "transport")
+        return set(c.transport);
+    if (key == "protocol")
+        return set(c.protocol);
+    if (key == "reliability")
+        return set(c.reliability);
+    if (key == "bug")
+        return set(c.bug);
+    if (key == "pattern")
+        return set(c.workload.pattern);
+    if (key == "blocks")
+        return set(c.workload.blocks);
+    if (key == "ops")
+        return set(c.workload.opsPerNode);
+    if (key == "rounds")
+        return set(c.workload.rounds);
+    if (key == "wseed")
+        return set(c.workload.seed);
+    err = "unknown key '" + key + "'";
+    return false;
 }
 
 bool

@@ -44,22 +44,22 @@ struct StressCase
     unsigned xbCapacity = 8;
     /**
      * Interconnect backend. Pinned to the multistage fabric by
-     * default — NOT defaultTransportKind() — so the committed golden
-     * digests (tests/golden/) certify the same fabric regardless of
-     * the CENJU_TRANSPORT environment.
+     * default — NOT the CENJU_TRANSPORT default of SystemConfig — so
+     * the committed golden digests (tests/golden/) certify the same
+     * fabric regardless of the environment.
      */
     TransportKind transport = TransportKind::Multistage;
     /**
-     * Coherence backend. Pinned to queuing by default — NOT
-     * defaultProtocolKind() — for the same reason as transport: the
-     * committed goldens must not depend on CENJU_PROTOCOL.
+     * Coherence backend. Pinned to queuing by default, for the same
+     * reason as transport: the committed goldens must not depend on
+     * CENJU_PROTOCOL.
      */
     ProtocolKind protocol = ProtocolKind::Queuing;
     /**
-     * Reliability decorator. Pinned off by default — NOT
-     * defaultReliabilityKind() — so committed goldens must not
-     * depend on CENJU_RELIABILITY. Loss faults in @ref plan require
-     * E2e (the injector rejects them on bare backends).
+     * Reliability decorator. Pinned off by default, so committed
+     * goldens do not depend on CENJU_RELIABILITY. Loss faults in
+     * @ref plan require E2e (the injector rejects them on bare
+     * backends).
      */
     ReliabilityKind reliability = ReliabilityKind::Off;
     ProtoBug bug = ProtoBug::None;
@@ -185,9 +185,6 @@ bool applyCaseKey(StressCase &c, const std::string &key,
  */
 bool parseCase(const std::string &text, StressCase &out,
                std::string &err);
-
-/** Parse a ProtoBug name as printed by protoBugName(). */
-bool protoBugFromName(const std::string &s, ProtoBug &out);
 
 } // namespace cenju::fault
 

@@ -2,19 +2,19 @@
  * @file
  * Coherence-policy backend selection (docs/ARCHITECTURE.md
  * "Protocol policies") — the protocol-layer twin of the transport
- * seam's TransportKind: a small closed enum, printable names, and
- * an environment-driven default so the CI matrix can retarget every
- * system that does not pin a flavour explicitly.
+ * seam's TransportKind: a small closed enum and its name table.
+ * ProtocolConfig::protocol defaults through envOr("CENJU_PROTOCOL")
+ * so the CI matrix can retarget every system that does not pin a
+ * flavour explicitly.
  */
 
 #ifndef CENJU_POLICY_KIND_HH
 #define CENJU_POLICY_KIND_HH
 
+#include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
-#include "sim/logging.hh"
+#include "sim/text.hh"
 
 namespace cenju
 {
@@ -30,49 +30,18 @@ enum class ProtocolKind : std::uint8_t
                    ///< 1305.3038-style arbitration)
 };
 
-/** Printable backend name. */
+/** Backend names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(ProtocolKind)
+{
+    return std::array{"queuing", "nack", "phase-priority"};
+}
+
+/** nameOf() under its older name (perfbench/dsm_bench.cc). */
 inline const char *
 protocolKindName(ProtocolKind k)
 {
-    switch (k) {
-      case ProtocolKind::Queuing:
-        return "queuing";
-      case ProtocolKind::Nack:
-        return "nack";
-      case ProtocolKind::PhasePriority:
-        return "phase-priority";
-    }
-    return "?";
-}
-
-/** Parse a backend name as printed by protocolKindName(). */
-inline bool
-protocolKindFromName(const char *s, ProtocolKind &out)
-{
-    for (auto k : {ProtocolKind::Queuing, ProtocolKind::Nack,
-                   ProtocolKind::PhasePriority}) {
-        if (std::strcmp(s, protocolKindName(k)) == 0) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-/**
- * Backend used when a ProtocolConfig does not choose one: queuing,
- * overridable with CENJU_PROTOCOL=queuing|nack|phase-priority (how
- * the CI protocol matrix reruns the unit tier per backend).
- */
-inline ProtocolKind
-defaultProtocolKind()
-{
-    ProtocolKind k = ProtocolKind::Queuing;
-    const char *env = std::getenv("CENJU_PROTOCOL");
-    if (env && *env && !protocolKindFromName(env, k))
-        fatal("CENJU_PROTOCOL=%s: unknown backend (queuing, nack "
-              "or phase-priority)", env);
-    return k;
+    return nameOf(k);
 }
 
 } // namespace cenju

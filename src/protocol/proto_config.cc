@@ -5,20 +5,6 @@
 namespace cenju
 {
 
-const char *
-protoBugName(ProtoBug b)
-{
-    switch (b) {
-      case ProtoBug::None:
-        return "none";
-      case ProtoBug::SkipReservation:
-        return "skip-reservation";
-      case ProtoBug::DropSharer:
-        return "drop-sharer";
-    }
-    return "?";
-}
-
 bool
 ProtocolConfig::defaultRuntimeChecks()
 {

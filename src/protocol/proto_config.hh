@@ -6,12 +6,14 @@
 #ifndef CENJU_PROTOCOL_PROTO_CONFIG_HH
 #define CENJU_PROTOCOL_PROTO_CONFIG_HH
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "directory/node_map.hh"
 #include "policy/kind.hh"
+#include "sim/text.hh"
 #include "sim/timing.hh"
 #include "sim/types.hh"
 
@@ -38,8 +40,12 @@ enum class ProtoBug : std::uint8_t
     DropSharer,
 };
 
-/** Printable bug-knob name (modelcheck CLI / traces). */
-const char *protoBugName(ProtoBug b);
+/** Bug-knob names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(ProtoBug)
+{
+    return std::array{"none", "skip-reservation", "drop-sharer"};
+}
 
 /** Per-node protocol and cache parameters. */
 struct ProtocolConfig
@@ -48,9 +54,10 @@ struct ProtocolConfig
      * Protocol flavour (Figure 6 comparison): the coherence-policy
      * backend (src/policy/, docs/ARCHITECTURE.md "Protocol
      * policies"), overridable per process with
-     * CENJU_PROTOCOL=queuing|nack|phase-priority.
+     * CENJU_PROTOCOL=<name>.
      */
-    ProtocolKind protocol = defaultProtocolKind();
+    ProtocolKind protocol =
+        envOr("CENJU_PROTOCOL", ProtocolKind::Queuing);
 
     /** Directory node-map scheme. */
     NodeMapKind directoryScheme =

@@ -34,12 +34,11 @@
 #ifndef CENJU_TRANSPORT_TRANSPORT_HH
 #define CENJU_TRANSPORT_TRANSPORT_HH
 
-#include <cstdlib>
-#include <cstring>
+#include <array>
 
 #include "check/hooks.hh"
 #include "fault/hooks.hh"
-#include "sim/logging.hh"
+#include "sim/text.hh"
 #include "transport/combine.hh"
 #include "transport/packet.hh"
 
@@ -250,49 +249,18 @@ enum class TransportKind : std::uint8_t
     Direct,     ///< point-to-point only: software multicast/gather
 };
 
-/** Printable backend name. */
+/** Backend names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(TransportKind)
+{
+    return std::array{"multistage", "ideal", "direct"};
+}
+
+/** nameOf() under its older name (perfbench/dsm_bench.cc). */
 inline const char *
 transportKindName(TransportKind k)
 {
-    switch (k) {
-      case TransportKind::Multistage:
-        return "multistage";
-      case TransportKind::Ideal:
-        return "ideal";
-      case TransportKind::Direct:
-        return "direct";
-    }
-    return "?";
-}
-
-/** Parse a backend name as printed by transportKindName(). */
-inline bool
-transportKindFromName(const char *s, TransportKind &out)
-{
-    for (auto k : {TransportKind::Multistage, TransportKind::Ideal,
-                   TransportKind::Direct}) {
-        if (std::strcmp(s, transportKindName(k)) == 0) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-/**
- * Backend used when a SystemConfig does not choose one: multistage,
- * overridable with CENJU_TRANSPORT=multistage|ideal|direct (how the
- * CI backend matrix reruns the unit tier per backend).
- */
-inline TransportKind
-defaultTransportKind()
-{
-    TransportKind k = TransportKind::Multistage;
-    const char *env = std::getenv("CENJU_TRANSPORT");
-    if (env && *env && !transportKindFromName(env, k))
-        fatal("CENJU_TRANSPORT=%s: unknown backend (multistage, "
-              "ideal or direct)", env);
-    return k;
+    return nameOf(k);
 }
 
 } // namespace cenju

@@ -5,37 +5,6 @@
 namespace cenju
 {
 
-const char *
-stressPatternName(StressPattern p)
-{
-    switch (p) {
-      case StressPattern::SharingHeavy:
-        return "sharing-heavy";
-      case StressPattern::Migratory:
-        return "migratory";
-      case StressPattern::ProducerConsumer:
-        return "producer-consumer";
-      case StressPattern::BarrierChurn:
-        return "barrier-churn";
-      case StressPattern::HotSpot:
-        return "hot-spot";
-    }
-    return "?";
-}
-
-bool
-stressPatternFromName(const std::string &s, StressPattern &out)
-{
-    for (unsigned i = 0; i < numStressPatterns; ++i) {
-        auto p = static_cast<StressPattern>(i);
-        if (s == stressPatternName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 namespace
 {
 

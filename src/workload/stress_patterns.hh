@@ -29,12 +29,13 @@
 #ifndef CENJU_WORKLOAD_STRESS_PATTERNS_HH
 #define CENJU_WORKLOAD_STRESS_PATTERNS_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "core/dsm_system.hh"
 #include "exec/task.hh"
+#include "sim/text.hh"
 
 namespace cenju
 {
@@ -49,7 +50,15 @@ enum class StressPattern : std::uint8_t
     HotSpot,
 };
 
-constexpr unsigned numStressPatterns = 5;
+/** Serialized pattern names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(StressPattern)
+{
+    return std::array{"sharing-heavy", "migratory", "producer-consumer",
+                      "barrier-churn", "hot-spot"};
+}
+
+constexpr unsigned numStressPatterns = numNames<StressPattern>;
 
 /**
  * Patterns a random seed may draw (the first N of the enum).
@@ -59,12 +68,6 @@ constexpr unsigned numStressPatterns = 5;
  * with --pattern hot-spot or StressOptions::patternFixed.
  */
 constexpr unsigned numRandomStressPatterns = 4;
-
-/** Serialized pattern name ("sharing-heavy", ...). */
-const char *stressPatternName(StressPattern p);
-
-/** Parse a pattern name. @retval false if @p s names none */
-bool stressPatternFromName(const std::string &s, StressPattern &out);
 
 /** Parameters of one stress workload. */
 struct StressWorkload

@@ -443,9 +443,9 @@ TEST(CombineSystem, FetchAddTicketsAreDenseOnEveryBackend)
         std::sort(got.begin(), got.end());
         for (unsigned i = 0; i < 16; ++i)
             EXPECT_EQ(got[i], 100 + i)
-                << transportKindName(t) << " node " << i;
+                << nameOf(t) << " node " << i;
         EXPECT_EQ(readWord(sys, ctr, 0), 116u)
-            << transportKindName(t);
+            << nameOf(t);
     }
 }
 
@@ -469,7 +469,7 @@ TEST(CombineSystem, SwapChainLawOnEveryBackend)
             right.push_back(0x1000u + i);
         std::sort(left.begin(), left.end());
         std::sort(right.begin(), right.end());
-        EXPECT_EQ(left, right) << transportKindName(t);
+        EXPECT_EQ(left, right) << nameOf(t);
     }
 }
 
@@ -489,9 +489,9 @@ TEST(CombineSystem, MinMaxSerializationOnEveryBackend)
                 amax, 500 + env.id() * 10);
         });
         EXPECT_EQ(readWord(sys, words, 0), 500u)
-            << transportKindName(t);
+            << nameOf(t);
         EXPECT_EQ(readWord(sys, words, 1), 650u)
-            << transportKindName(t);
+            << nameOf(t);
         // Exactly one participant of each chain saw the initial
         // value, and every reply bounds the final value.
         EXPECT_EQ(*std::max_element(gotMin.begin(), gotMin.end()),
@@ -522,7 +522,7 @@ TEST(CombineSystem, MixedOpsOnOneWordStayMonotone)
                 (void)co_await env.atomicMax(a, 40 + env.id());
         });
         EXPECT_GE(readWord(sys, word, 0), 50u + 8u)
-            << transportKindName(t);
+            << nameOf(t);
     }
 }
 

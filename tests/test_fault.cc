@@ -31,19 +31,6 @@ TEST(RngSplit, StreamsAreIndependentAndStable)
               Rng(42).split(1).next()); // split does not advance
 }
 
-TEST(FaultPlan, KindNamesRoundTrip)
-{
-    for (unsigned i = 0; i < numFaultKinds; ++i) {
-        auto k = static_cast<FaultKind>(i);
-        FaultKind back;
-        ASSERT_TRUE(faultKindFromName(faultKindName(k), back))
-            << faultKindName(k);
-        EXPECT_EQ(back, k);
-    }
-    FaultKind dummy;
-    EXPECT_FALSE(faultKindFromName("frobnicate", dummy));
-}
-
 TEST(FaultPlan, EventSerializationRoundTrips)
 {
     Rng rng(7);
@@ -172,7 +159,7 @@ expectCaughtAndShrinkable(ProtoBug bug)
         EXPECT_EQ(rr.digest, mr.digest);
         return;
     }
-    FAIL() << protoBugName(bug) << " not caught within "
+    FAIL() << nameOf(bug) << " not caught within "
            << seedBudget << " seeds";
 }
 
@@ -302,6 +289,28 @@ TEST(StressCaseIo, ReliabilityKeyAppliesAndValidates)
     EXPECT_EQ(c.reliability, ReliabilityKind::Off);
     EXPECT_FALSE(applyCaseKey(c, "reliability", "tcp", err));
     EXPECT_NE(err.find("tcp"), std::string::npos);
+}
+
+TEST(StressCaseIo, MalformedNumbersAreRejected)
+{
+    StressCase out;
+    std::string err;
+    for (const char *nodes : {"abc", "16x", "-4"}) {
+        EXPECT_FALSE(parseCase(std::string("stresscase v1\nnodes ") +
+                                   nodes + "\nend\n",
+                               out, err))
+            << "nodes '" << nodes << "'";
+    }
+    EXPECT_FALSE(parseCase("stresscase v1\nnodes 4\nfault "
+                           "home-stall at -1 dur 5 node 0\nend\n",
+                           out, err));
+    StressCase c;
+    EXPECT_FALSE(applyCaseKey(c, "ops", "4x", err));
+    EXPECT_NE(err.find("ops"), std::string::npos) << err;
+    EXPECT_FALSE(applyCaseKey(c, "xbcap", "4294967296", err))
+        << "a value past the field's width must not wrap";
+    ASSERT_TRUE(applyCaseKey(c, "ops", "4", err)) << err;
+    EXPECT_EQ(c.workload.opsPerNode, 4u);
 }
 
 TEST(LossPlanRejection, BareBackendRefusesLossFaultsAtArmTime)

@@ -220,6 +220,12 @@ TEST(Trace, ParseRejectsBadInput)
     EXPECT_FALSE(check::parseTrace(
         "nodes 2\nbatch store n0 b0\n", t, err))
         << "a store without a serial must not parse";
+    EXPECT_FALSE(check::parseTrace("nodes 2x\nbatch load n0 b0\n",
+                                   t, err));
+    EXPECT_NE(err.find("2x"), std::string::npos) << err;
+    EXPECT_FALSE(check::parseTrace("nodes 2\nbatch load n0 b0x\n",
+                                   t, err));
+    EXPECT_NE(err.find("b0x"), std::string::npos) << err;
 }
 
 TEST(Replay, DsmSystemCleanTrace)

@@ -171,13 +171,15 @@ class PolicyConformance
 
 TEST_P(PolicyConformance, ReportsItsKindAndNameRoundTrips)
 {
+    // The table itself is checked in test_text.cc; here each node's
+    // policy must report a name that parses back to its kind.
     PolicySys s(policy(), transport(), 4);
-    for (auto &n : s.nodes)
+    for (auto &n : s.nodes) {
         EXPECT_EQ(n->policy().kind(), policy());
-    ProtocolKind back;
-    ASSERT_TRUE(
-        protocolKindFromName(protocolKindName(policy()), back));
-    EXPECT_EQ(back, policy());
+        ProtocolKind back{};
+        ASSERT_TRUE(parseName(n->policy().name(), back));
+        EXPECT_EQ(back, policy());
+    }
 }
 
 TEST_P(PolicyConformance, SingleWriterPropagatesToAllReaders)
@@ -338,9 +340,9 @@ INSTANTIATE_TEST_SUITE_P(
                           TransportKind::Ideal,
                           TransportKind::Direct)),
     [](const ::testing::TestParamInfo<PolicyParam> &info) {
-        return camel(protocolKindName(std::get<0>(info.param))) +
+        return camel(nameOf(std::get<0>(info.param))) +
                "On" +
-               camel(transportKindName(std::get<1>(info.param)));
+               camel(nameOf(std::get<1>(info.param)));
     });
 
 // ---------------------------------------------------------------
@@ -406,8 +408,8 @@ TEST(PolicyFuzz, SequentialWorkloadIdenticalAcrossBackends)
         for (TransportKind t :
              {TransportKind::Multistage, TransportKind::Ideal,
               TransportKind::Direct}) {
-            SCOPED_TRACE(std::string(protocolKindName(p)) + " on " +
-                         transportKindName(t));
+            SCOPED_TRACE(std::string(nameOf(p)) + " on " +
+                         nameOf(t));
             PolicySys s(p, t, nodes);
             std::vector<std::uint64_t> shadow(blocks, 0);
             for (const FuzzOp &op : prog) {

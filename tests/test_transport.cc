@@ -142,7 +142,7 @@ class TransportConformance
 TEST_P(TransportConformance, ReportsItsKindAndSize)
 {
     Fixture f(GetParam(), 16);
-    EXPECT_STREQ(f.t->name(), transportKindName(GetParam()));
+    EXPECT_STREQ(f.t->name(), nameOf(GetParam()));
     EXPECT_EQ(f.t->numNodes(), 16u);
     EXPECT_EQ(&f.t->eventQueue(), &f.eq);
 }
@@ -308,7 +308,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TransportKind::Multistage,
                       TransportKind::Ideal, TransportKind::Direct),
     [](const ::testing::TestParamInfo<TransportKind> &info) {
-        return transportKindName(info.param);
+        return nameOf(info.param);
     });
 
 } // namespace

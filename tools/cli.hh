@@ -3,27 +3,25 @@
  * Shared command-line plumbing for the tools (modelcheck, stress,
  * sweeprunner): one option-cursor class instead of three hand-rolled
  * argv loops, plus the common option vocabulary — numeric values,
- * transport- and protocol-backend selection, and key=value
- * overrides.
+ * names from an enum's table (backend selection and the like), and
+ * key=value overrides.
  *
  * Deliberately tiny and exit(2)-on-misuse: these are developer
- * tools, so a missing value or a bad enum name prints what was
- * wrong and stops, matching the behavior the three tools already
- * had.
+ * tools, so a missing value, a malformed number or an unknown name
+ * prints what was wrong and stops.
  */
 
 #ifndef CENJU_TOOLS_CLI_HH
 #define CENJU_TOOLS_CLI_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
-#include "policy/kind.hh"
-#include "reliable/kind.hh"
-#include "transport/transport.hh"
+#include "sim/text.hh"
 
 namespace cenju::cli
 {
@@ -77,88 +75,53 @@ class OptionParser
     }
 
     /** value() as an unsigned 64-bit number. */
-    std::uint64_t
-    u64()
-    {
-        return std::strtoull(value(), nullptr, 10);
-    }
+    std::uint64_t u64() { return number<std::uint64_t>(); }
 
     /** value() as an unsigned 32-bit number. */
-    unsigned
-    u32()
-    {
-        return unsigned(std::strtoul(value(), nullptr, 10));
-    }
+    unsigned u32() { return number<unsigned>(); }
 
   private:
+    /** value() parsed by parseUnsigned(); exits(2) if malformed. */
+    template <typename T>
+    T
+    number()
+    {
+        const char *option = arg();
+        const char *s = value();
+        T v = 0;
+        if (!parseUnsigned(s, v)) {
+            std::fprintf(stderr,
+                         "%s: '%s' is not an unsigned %zu-bit "
+                         "number\n",
+                         option, s, 8 * sizeof(T));
+            std::exit(2);
+        }
+        return v;
+    }
+
     int _argc;
     char **_argv;
     int _i;
 };
 
-/** Usage line for tools accepting --transport. */
-inline constexpr const char *transportHelp =
-    "  --transport T    interconnect backend: multistage | ideal |"
-    " direct\n"
-    "                   (default multistage)\n";
-
-/** Consume a --transport value; exits(2) on an unknown backend. */
-inline TransportKind
-transportValue(OptionParser &args)
+/**
+ * Consume the current option's value as a name from @p E's table
+ * (sim/text.hh); exits(2) naming the option, the value and the
+ * valid names on anything else.
+ */
+template <typename E>
+E
+choice(OptionParser &args)
 {
+    const char *option = args.arg();
     const char *s = args.value();
-    TransportKind k;
-    if (!transportKindFromName(s, k)) {
-        std::fprintf(stderr,
-                     "unknown transport '%s' (multistage, ideal or "
-                     "direct)\n",
-                     s);
+    E e{};
+    if (!parseName(s, e)) {
+        std::fprintf(stderr, "%s: unknown value '%s' (%s)\n", option, s,
+                     nameList<E>().c_str());
         std::exit(2);
     }
-    return k;
-}
-
-/** Usage line for tools accepting --protocol. */
-inline constexpr const char *protocolHelp =
-    "  --protocol P     coherence backend: queuing | nack |"
-    " phase-priority\n"
-    "                   (default queuing, or $CENJU_PROTOCOL)\n";
-
-/** Consume a --protocol value; exits(2) on an unknown backend. */
-inline ProtocolKind
-protocolValue(OptionParser &args)
-{
-    const char *s = args.value();
-    ProtocolKind k;
-    if (!protocolKindFromName(s, k)) {
-        std::fprintf(stderr,
-                     "unknown protocol '%s' (queuing, nack or "
-                     "phase-priority)\n",
-                     s);
-        std::exit(2);
-    }
-    return k;
-}
-
-/** Usage line for tools accepting --reliability. */
-inline constexpr const char *reliabilityHelp =
-    "  --reliability R  delivery guarantee: off | e2e (retransmit\n"
-    "                   decorator over the chosen transport;\n"
-    "                   default off, or $CENJU_RELIABILITY)\n";
-
-/** Consume a --reliability value; exits(2) on an unknown mode. */
-inline ReliabilityKind
-reliabilityValue(OptionParser &args)
-{
-    const char *s = args.value();
-    ReliabilityKind k;
-    if (!reliabilityKindFromName(s, k)) {
-        std::fprintf(stderr,
-                     "unknown reliability mode '%s' (off or e2e)\n",
-                     s);
-        std::exit(2);
-    }
-    return k;
+    return e;
 }
 
 /**

@@ -35,6 +35,7 @@ namespace
 int
 usage(const char *argv0)
 {
+    const check::CheckConfig pinned;
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
@@ -44,15 +45,17 @@ usage(const char *argv0)
         "  --depth N         max steps per trace, 0=closure "
         "(default 0)\n"
         "  --max-states N    stop after N states, 0=unlimited\n"
-        "  --protocol P      queuing | nack | phase-priority "
-        "(default queuing)\n"
+        "  --protocol P      %s\n"
+        "                    (default %s; CENJU_PROTOCOL does not\n"
+        "                    apply, traces pin their protocol)\n"
         "  --max-phase N     phase-priority: epoch advances "
         "enumerated per node (default 1)\n"
-        "  --bug B           none | skip-reservation | drop-sharer\n"
+        "  --bug B           %s (default %s)\n"
         "  --all             keep going after a counterexample\n"
         "  --trace-out FILE  write the first counterexample trace\n"
         "  --replay FILE     replay a trace through DsmSystem\n",
-        argv0);
+        argv0, nameList<ProtocolKind>().c_str(), nameOf(pinned.protocol),
+        nameList<ProtoBug>().c_str(), nameOf(pinned.bug));
     return 2;
 }
 
@@ -77,7 +80,7 @@ replayFile(const std::string &path)
     std::printf("replaying %zu batches (%zu ops) on %u nodes, "
                 "bug=%s\n",
                 trace.batches.size(), trace.opCount(),
-                trace.cfg.nodes, protoBugName(trace.cfg.bug));
+                trace.cfg.nodes, nameOf(trace.cfg.bug));
     SystemConfig sc;
     sc.numNodes = trace.cfg.nodes;
     sc.proto.protocol = trace.cfg.protocol;
@@ -133,23 +136,11 @@ main(int argc, char **argv)
         } else if (args.is("--max-states")) {
             opt.maxStates = args.u64();
         } else if (args.is("--protocol")) {
-            std::string p = args.value();
-            if (!protocolKindFromName(p.c_str(),
-                                      opt.cfg.protocol))
-                return usage(argv[0]);
+            opt.cfg.protocol = cli::choice<ProtocolKind>(args);
         } else if (args.is("--max-phase")) {
             opt.maxPhase = args.u32();
         } else if (args.is("--bug")) {
-            std::string b = args.value();
-            if (b == "none") {
-                opt.cfg.bug = ProtoBug::None;
-            } else if (b == "skip-reservation") {
-                opt.cfg.bug = ProtoBug::SkipReservation;
-            } else if (b == "drop-sharer") {
-                opt.cfg.bug = ProtoBug::DropSharer;
-            } else {
-                return usage(argv[0]);
-            }
+            opt.cfg.bug = cli::choice<ProtoBug>(args);
         } else if (args.is("--all")) {
             opt.stopAtFirstViolation = false;
         } else if (args.is("--trace-out")) {
@@ -175,8 +166,8 @@ main(int argc, char **argv)
     std::printf("exploring %u nodes x %u blocks, protocol=%s, "
                 "bug=%s, concurrency=%u, depth=%s\n",
                 opt.cfg.nodes, opt.cfg.blocks,
-                protocolKindName(opt.cfg.protocol),
-                protoBugName(opt.cfg.bug), opt.concurrency,
+                nameOf(opt.cfg.protocol), nameOf(opt.cfg.bug),
+                opt.concurrency,
                 opt.maxDepth
                     ? std::to_string(opt.maxDepth).c_str()
                     : "closure");

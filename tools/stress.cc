@@ -35,6 +35,7 @@ namespace
 int
 usage(const char *argv0)
 {
+    const StressOptions pinned;
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
@@ -42,13 +43,21 @@ usage(const char *argv0)
         "  --seed-base S    first seed of the sweep (default 1)\n"
         "  --seed S         run exactly one seed, verbose\n"
         "  --nodes N        system size (default 16)\n"
-        "  --pattern P      sharing-heavy | migratory |\n"
-        "                   producer-consumer | barrier-churn |\n"
-        "                   hot-spot (combinable atomics storm)\n"
+        "  --pattern P      %s\n"
         "                   (default: drawn per seed, excluding\n"
-        "                   hot-spot)\n"
-        "  --bug B          none | skip-reservation | drop-sharer\n"
-        "%s%s%s"
+        "                   hot-spot, the combinable-atomics storm)\n"
+        "  --bug B          %s (default %s)\n"
+        "  --transport T    interconnect backend: %s\n"
+        "                   (default %s)\n"
+        "  --protocol P     coherence backend: %s\n"
+        "                   (default %s)\n"
+        "  --reliability R  delivery guarantee: %s (e2e is the\n"
+        "                   retransmit decorator over the transport;\n"
+        "                   default %s)\n"
+        "                   The three backend defaults are pinned:\n"
+        "                   CENJU_TRANSPORT, CENJU_PROTOCOL and\n"
+        "                   CENJU_RELIABILITY do not apply here, so\n"
+        "                   digests do not depend on the environment\n"
         "  --lossy          adversarial loss mode: reliability on,\n"
         "                   random drop/dup/corrupt windows per\n"
         "                   seed, finals compared bit-for-bit with\n"
@@ -69,8 +78,12 @@ usage(const char *argv0)
         "                   counts, see docs/ARCHITECTURE.md)\n"
         "  --expect-caught  exit 0 iff the sweep found a failure\n"
         "  --out FILE       write the minimal reproducer to FILE\n",
-        argv0, cli::transportHelp, cli::protocolHelp,
-        cli::reliabilityHelp,
+        argv0, nameList<StressPattern>().c_str(),
+        nameList<ProtoBug>().c_str(), nameOf(pinned.bug),
+        nameList<TransportKind>().c_str(), nameOf(pinned.transport),
+        nameList<ProtocolKind>().c_str(), nameOf(pinned.protocol),
+        nameList<ReliabilityKind>().c_str(),
+        nameOf(pinned.reliability),
         (unsigned long long)defaultEventBudget);
     return 2;
 }
@@ -83,7 +96,7 @@ printResult(std::uint64_t seed, const StressCase &c,
                 "ops=%u rounds=%u faults=%zu | %s, %llu steps, "
                 "%llu events, %u windows, digest=%016llx\n",
                 (unsigned long long)seed,
-                stressPatternName(c.workload.pattern), c.nodes,
+                nameOf(c.workload.pattern), c.nodes,
                 c.xbCapacity, c.workload.blocks,
                 c.workload.opsPerNode, c.workload.rounds,
                 c.plan.events.size(),
@@ -276,8 +289,7 @@ lossySweep(const Options &optIn)
                 "baseline\n",
                 (unsigned long long)seeds,
                 (unsigned long long)base, opt.gen.nodes,
-                transportKindName(opt.gen.transport),
-                protocolKindName(opt.gen.protocol));
+                nameOf(opt.gen.transport), nameOf(opt.gen.protocol));
 
     std::vector<LossyPair> sweep(seeds);
     auto runPair = [&opt](std::uint64_t seed, LossyPair &p) {
@@ -377,18 +389,15 @@ main(int argc, char **argv)
             opt.gen.nodes = args.u32();
         } else if (args.is("--pattern")) {
             opt.gen.patternFixed = true;
-            if (!stressPatternFromName(args.value(),
-                                       opt.gen.pattern))
-                return usage(argv[0]);
+            opt.gen.pattern = cli::choice<StressPattern>(args);
         } else if (args.is("--bug")) {
-            if (!protoBugFromName(args.value(), opt.gen.bug))
-                return usage(argv[0]);
+            opt.gen.bug = cli::choice<ProtoBug>(args);
         } else if (args.is("--transport")) {
-            opt.gen.transport = cli::transportValue(args);
+            opt.gen.transport = cli::choice<TransportKind>(args);
         } else if (args.is("--protocol")) {
-            opt.gen.protocol = cli::protocolValue(args);
+            opt.gen.protocol = cli::choice<ProtocolKind>(args);
         } else if (args.is("--reliability")) {
-            opt.gen.reliability = cli::reliabilityValue(args);
+            opt.gen.reliability = cli::choice<ReliabilityKind>(args);
         } else if (args.is("--lossy")) {
             opt.gen.lossy = true;
         } else if (args.is("--set")) {
@@ -480,9 +489,8 @@ main(int argc, char **argv)
                 "transport=%s protocol=%s\n",
                 (unsigned long long)opt.seeds,
                 (unsigned long long)opt.seedBase, opt.gen.nodes,
-                protoBugName(opt.gen.bug),
-                transportKindName(opt.gen.transport),
-                protocolKindName(opt.gen.protocol));
+                nameOf(opt.gen.bug), nameOf(opt.gen.transport),
+                nameOf(opt.gen.protocol));
 
     // With --jobs != 1 the whole sweep runs up front on a worker
     // pool (each run is an independent single-threaded simulation);

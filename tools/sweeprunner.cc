@@ -43,6 +43,7 @@ namespace
 int
 usage()
 {
+    const StressOptions pinned;
     std::fprintf(
         stderr,
         "usage: sweeprunner stress [options]\n"
@@ -50,9 +51,12 @@ usage()
         "         --seeds S      seeds to sweep (default 50)\n"
         "         --seed-base B  first seed (default 1)\n"
         "         --budget N     per-run event budget\n"
-        "         --transport T  multistage | ideal | direct\n"
-        "         --protocol P   queuing | nack | phase-priority\n"
-        "         --reliability R  off | e2e (retransmit decorator)\n"
+        "         --transport T  %s (default %s)\n"
+        "         --protocol P   %s (default %s)\n"
+        "         --reliability R  %s (default %s; e2e is the\n"
+        "                        retransmit decorator)\n"
+        "                        The backend defaults are pinned:\n"
+        "                        the CENJU_* variables do not apply\n"
         "         --jobs J       worker threads (default: cores)\n"
         "         --shards N     simulation shards per run\n"
         "                        (default 1; digests bit-identical\n"
@@ -64,7 +68,11 @@ usage()
         "         --quick        CENJU_QUICK=1 scaled-down runs\n"
         "         --bindir DIR   bench binary dir (default bench)\n"
         "         --only NAME    run just one bench\n"
-        "         --out FILE     write BENCH_figures.json\n");
+        "         --out FILE     write BENCH_figures.json\n",
+        nameList<TransportKind>().c_str(), nameOf(pinned.transport),
+        nameList<ProtocolKind>().c_str(), nameOf(pinned.protocol),
+        nameList<ReliabilityKind>().c_str(),
+        nameOf(pinned.reliability));
     return 2;
 }
 
@@ -99,11 +107,11 @@ runStressMode(int argc, char **argv)
         else if (args.is("--budget"))
             budget = args.u64();
         else if (args.is("--transport"))
-            opts.transport = cli::transportValue(args);
+            opts.transport = cli::choice<TransportKind>(args);
         else if (args.is("--protocol"))
-            opts.protocol = cli::protocolValue(args);
+            opts.protocol = cli::choice<ProtocolKind>(args);
         else if (args.is("--reliability"))
-            opts.reliability = cli::reliabilityValue(args);
+            opts.reliability = cli::choice<ReliabilityKind>(args);
         else if (args.is("--jobs"))
             jobs = args.u32();
         else if (args.is("--shards")) {
