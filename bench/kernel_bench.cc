@@ -426,11 +426,9 @@ benchHotspot(const Bench &b)
                      "%s: merged=%llu skipped=%llu ticks=%llu\n",
                      b.name,
                      (unsigned long long)sys.network()
-                         .combineMerged()
-                         .value(),
+                         .combineMerged.value(),
                      (unsigned long long)sys.network()
-                         .combineSkipped()
-                         .value(),
+                         .combineSkipped.value(),
                      (unsigned long long)rs.execTime);
     const std::uint64_t total = b.nodes * b.work;
     const std::uint64_t final =

@@ -66,7 +66,6 @@ DsmSystem::DsmSystem(const SystemConfig &cfg) : _cfg(cfg)
             *_nodes[n], *_engines[n], *_syncs[n]));
     }
     _shmBump.assign(cfg.numNodes, 0);
-    _snapshots.resize(cfg.numNodes);
 
     if (cfg.proto.runtimeChecks) {
         if (_sharded) {
@@ -220,27 +219,9 @@ void
 DsmSystem::resetStats()
 {
     for (NodeId n = 0; n < _cfg.numNodes; ++n) {
-        MasterModule &m = _nodes[n]->master();
-        Snapshot &s = _snapshots[n];
-        s.loads = m.loads.value();
-        s.stores = m.stores.value();
-        s.hits = m.cacheHits.value();
-        s.misses = m.cacheMisses.value();
-        s.missPrivate = m.missPrivate.value();
-        s.missLocal = m.missSharedLocal.value();
-        s.missRemote = m.missSharedRemote.value();
-        s.accPrivate = m.accPrivate.value();
-        s.accLocal = m.accSharedLocal.value();
-        s.accRemote = m.accSharedRemote.value();
-
+        _nodes[n]->resetStats();
         Env &e = *_envs[n];
-        e.instructions = 0;
-        e.memAccesses = 0;
-        e.barriers = 0;
-        e.computeTime = 0;
-        e.memTime = 0;
-        e.syncTime = 0;
-        e.commTime = 0;
+        static_cast<EnvStats &>(e) = {};
         e.finishTick = 0;
     }
     _runStartTick = eqForNode(0).now();
@@ -252,24 +233,20 @@ DsmSystem::collectStats() const
     RunStats r;
     for (NodeId n = 0; n < _cfg.numNodes; ++n) {
         const MasterModule &m = _nodes[n]->master();
-        const Snapshot &s = _snapshots[n];
         const Env &e = *_envs[n];
-        r.instructions += e.instructions;
-        r.memAccesses += e.memAccesses;
-        r.cacheMisses += m.cacheMisses.value() - s.misses;
-        r.missPrivate += m.missPrivate.value() - s.missPrivate;
-        r.missSharedLocal +=
-            m.missSharedLocal.value() - s.missLocal;
-        r.missSharedRemote +=
-            m.missSharedRemote.value() - s.missRemote;
-        r.accPrivate += m.accPrivate.value() - s.accPrivate;
-        r.accSharedLocal += m.accSharedLocal.value() - s.accLocal;
-        r.accSharedRemote +=
-            m.accSharedRemote.value() - s.accRemote;
-        r.computeTime += e.computeTime;
-        r.memTime += e.memTime;
-        r.syncTime += e.syncTime;
-        r.commTime += e.commTime;
+        r.instructions += e.instructions.value();
+        r.memAccesses += e.memAccesses.value();
+        r.cacheMisses += m.cacheMisses.value();
+        r.missPrivate += m.missPrivate.value();
+        r.missSharedLocal += m.missSharedLocal.value();
+        r.missSharedRemote += m.missSharedRemote.value();
+        r.accPrivate += m.accPrivate.value();
+        r.accSharedLocal += m.accSharedLocal.value();
+        r.accSharedRemote += m.accSharedRemote.value();
+        r.computeTime += e.computeTime.value();
+        r.memTime += e.memTime.value();
+        r.syncTime += e.syncTime.value();
+        r.commTime += e.commTime.value();
         if (e.finishTick > _runStartTick)
             r.execTime = std::max(r.execTime,
                                   e.finishTick - _runStartTick);

@@ -257,7 +257,11 @@ class DsmSystem
     unsigned numNodes() const { return _cfg.numNodes; }
     const SystemConfig &config() const { return _cfg; }
 
-    /** Reset the per-node statistics between phases. */
+    /**
+     * Zero every node's master, home and slave statistics, its
+     * sentCount() and its Env accounting; run() calls this first.
+     * Fabric statistics (Transport::netStats()) are not reset.
+     */
     void resetStats();
 
     /** Aggregate statistics since the last reset. */
@@ -284,15 +288,7 @@ class DsmSystem
     /** Bump allocator for private offsets (same on every node). */
     Addr _privBump = 0;
 
-    /** Counter snapshot for resetStats()/collectStats(). */
-    struct Snapshot
-    {
-        std::uint64_t loads = 0, stores = 0, hits = 0, misses = 0;
-        std::uint64_t missPrivate = 0, missLocal = 0,
-                      missRemote = 0;
-        std::uint64_t accPrivate = 0, accLocal = 0, accRemote = 0;
-    };
-    std::vector<Snapshot> _snapshots;
+    /** Clock at the last resetStats(): run() reports from here. */
     Tick _runStartTick = 0;
 };
 

@@ -24,6 +24,7 @@
 #include "core/sync.hh"
 #include "msgpass/msg_engine.hh"
 #include "node/dsm_node.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 #include "transport/combine.hh"
 
@@ -79,7 +80,7 @@ class EnvOp
      * @param bucket Env time bucket the elapsed time is charged to,
      *        or nullptr
      */
-    EnvOp(const EventQueue &eq, Tick *bucket, Start start)
+    EnvOp(const EventQueue &eq, Counter *bucket, Start start)
         : _eq(eq), _bucket(bucket), _start(std::move(start))
     {}
 
@@ -113,20 +114,32 @@ class EnvOp
     {};
 
     const EventQueue &_eq;
-    Tick *_bucket;
+    Counter *_bucket;
     Start _start;
     std::coroutine_handle<> _h;
     Tick _t0 = 0;
     std::conditional_t<std::is_void_v<T>, NoResult, T> _result{};
 };
 
+/** One run's per-node accounting (aggregated into Tables 3/4). */
+struct EnvStats
+{
+    Counter instructions;
+    Counter memAccesses;
+    // Simulated time (ns) spent awaiting each class of verb.
+    Counter computeTime;
+    Counter memTime;
+    Counter syncTime;
+    Counter commTime;
+};
+
 /** The per-node programming interface. */
-class Env
+class Env : public EnvStats
 {
     /** Await @p start's engine call, charging its time to @p bucket. */
     template <typename T, typename Start>
     EnvOp<T, Start>
-    issue(Tick *bucket, Start start)
+    issue(Counter *bucket, Start start)
     {
         return {_node.eq(), bucket, std::move(start)};
     }
@@ -266,7 +279,6 @@ class Env
     auto
     barrier()
     {
-        ++barriers;
         return issue<void>(&syncTime, [this](auto done) {
             _sync.barrier([this, done] {
                 // A barrier is a phase boundary (src/policy/): the
@@ -371,15 +383,7 @@ class Env
         return std::bit_cast<double>(b);
     }
 
-    // --- per-node accounting (aggregated into Tables 3/4) -----------
-
-    std::uint64_t instructions = 0;
-    std::uint64_t memAccesses = 0;
-    std::uint64_t barriers = 0;
-    Tick computeTime = 0;
-    Tick memTime = 0;
-    Tick syncTime = 0;
-    Tick commTime = 0;
+    /** When this node's program finished (0 while it runs). */
     Tick finishTick = 0;
 
   private:

@@ -292,9 +292,9 @@ runStressCase(const StressCase &c, std::uint64_t eventBudget,
         mixCoherentWords(res.memFingerprint, sys, raw, sync);
 
     if (ReliableTransport *rel = sys.reliableLayer()) {
-        res.retransmits = rel->retransmits();
-        res.dupDiscards = rel->dupDiscards();
-        res.checksumRejects = rel->checksumRejects();
+        res.retransmits = rel->retransmits.value();
+        res.dupDiscards = rel->dupDiscards.value();
+        res.checksumRejects = rel->checksumRejects.value();
     }
 
     res.violations = checker.violations();

@@ -23,8 +23,6 @@ MsgEngine::send(NodeId dst, int tag,
     const TimingParams &tp = _node.timing();
     if (bytes == 0)
         bytes = static_cast<unsigned>(payload.size() * 8);
-    ++sends;
-    sendBytes.sample(static_cast<double>(bytes));
 
     auto pkt = std::make_unique<MsgPacket>();
     pkt->src = _node.id();
@@ -68,7 +66,6 @@ MsgEngine::handleArrival(std::unique_ptr<MsgPacket> pkt)
 void
 MsgEngine::recv(NodeId src, int tag, RecvCallback done)
 {
-    ++recvs;
     std::uint64_t key = packKey(src, tag);
     auto ait = _arrived.find(key);
     if (ait != _arrived.end() && !ait->second.empty()) {

@@ -25,7 +25,6 @@
 #include "node/dsm_node.hh"
 #include "sim/hashing.hh"
 #include "sim/object_pool.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -77,10 +76,6 @@ class MsgEngine
      * matching, receive overhead and payload transfer time.
      */
     void recv(NodeId src, int tag, RecvCallback done);
-
-    Counter sends;
-    Counter recvs;
-    SampleStat sendBytes;
 
   private:
     struct Arrived

@@ -8,16 +8,7 @@ namespace cenju
 Network::Network(EventQueue &eq, const NetConfig &cfg)
     : _eq(eq), _cfg(cfg), _topo(cfg.numNodes, cfg.stages),
       _injectors(cfg.numNodes), _endpoints(cfg.numNodes, nullptr),
-      _combineParked(cfg.numNodes),
-      _injectedCtr(_stats.counter("injected")),
-      _deliveredCtr(_stats.counter("delivered")),
-      _multicastCopies(_stats.counter("multicast_copies")),
-      _gatherAbsorbed(_stats.counter("gather_absorbed")),
-      _gatherForwarded(_stats.counter("gather_forwarded")),
-      _combineMerged(_stats.counter("combine_merged")),
-      _combineSkipped(_stats.counter("combine_skipped")),
-      _combineDecombined(_stats.counter("combine_decombined")),
-      _latency(_stats.sampleStat("latency_ns"))
+      _combineParked(cfg.numNodes)
 {
     unsigned rows = _topo.rowsPerStage();
     _switches.reserve(static_cast<std::size_t>(_topo.stages()) *
@@ -106,8 +97,7 @@ Network::tryInject(PacketPtr &&pkt)
         // the injection overhead, then walked down stage by stage.
         pkt->injectTick = _eq.now();
         pkt->packetId = _nextPacketId++;
-        ++_injectedCtr;
-        ++_injected;
+        ++injected;
         int top = static_cast<int>(_topo.stages()) - 1;
         _eq.scheduleAfter(_cfg.injectLatency,
                           [this, top, p = std::move(pkt)]() mutable {
@@ -128,8 +118,7 @@ Network::tryInject(PacketPtr &&pkt)
         // accumulates in place, so the ticket survives to the home.
         pkt->combineTicket = pkt->packetId;
     }
-    ++_injectedCtr;
-    ++_injected;
+    ++injected;
     inj.q.push_back(std::move(pkt));
     if (!inj.busy && !inj.waitingSpace)
         pumpInjector(n);
@@ -211,7 +200,7 @@ Network::descendReply(PacketPtr pkt, int stage)
             combineApply(r.op, pkt->combineOperand, r.prefix);
         sub->combineTicket = r.absorbedTicket;
         sub->combineCookie = r.absorbedCookie;
-        ++_combineDecombined;
+        ++combineDecombined;
         // The absorbed request joined this switch at stage s, so its
         // reply continues from stage s-1 along its own route.
         _eq.scheduleAfter(delay,
@@ -254,9 +243,8 @@ Network::ejectReserve(NodeId n, const Packet &pkt)
 void
 Network::ejectDeliver(NodeId n, PacketPtr pkt)
 {
-    ++_deliveredCtr;
-    ++_delivered;
-    _latency.sample(
+    ++delivered;
+    latency.sample(
         static_cast<double>(_eq.now() - pkt->injectTick));
     _endpoints[n]->deliver(std::move(pkt));
     if (_checkHook) {

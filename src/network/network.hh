@@ -25,7 +25,6 @@
 #include "network/topology.hh"
 #include "network/xbar_switch.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "transport/transport.hh"
 
 namespace cenju
@@ -34,9 +33,10 @@ namespace cenju
 /**
  * One omega-network instance connecting up to 1024 nodes: the
  * Transport backend that models the paper's fabric cycle-by-cycle
- * (TransportKind::Multistage).
+ * (TransportKind::Multistage). Its statistics are the NetStats
+ * fields it derives; the switches count into them directly.
  */
-class Network final : public Transport
+class Network final : public Transport, public NetStats
 {
   public:
     Network(EventQueue &eq, const NetConfig &cfg);
@@ -80,7 +80,7 @@ class Network final : public Transport
         return CombineMode::InFabric;
     }
 
-    StatGroup &stats() override { return _stats; }
+    NetStats netStats() const override { return *this; }
 
     /**
      * A fault window squeezing node @p n's injection queue closed:
@@ -113,15 +113,6 @@ class Network final : public Transport
         switchAt(stage, row).faultKick();
     }
 
-    /** Packets accepted for transmission so far. */
-    std::uint64_t injectedCount() const override { return _injected; }
-
-    /** Packets handed to endpoints so far. */
-    std::uint64_t deliveredCount() const override
-    {
-        return _delivered;
-    }
-
     // --- interface used by XbarSwitch -----------------------------
 
     /** Final-stage reserve toward endpoint @p n. */
@@ -132,13 +123,6 @@ class Network final : public Transport
 
     /** Remember a final-stage output blocked on endpoint @p n. */
     void registerEjectWaiter(NodeId n, XbarSwitch *sw, unsigned out);
-
-    Counter &multicastCopies() { return _multicastCopies; }
-    Counter &gatherAbsorbed() { return _gatherAbsorbed; }
-    Counter &gatherForwarded() { return _gatherForwarded; }
-    Counter &combineMerged() { return _combineMerged; }
-    Counter &combineSkipped() { return _combineSkipped; }
-    Counter &combineDecombined() { return _combineDecombined; }
 
     /** Switch at (stage, row) — exposed for tests. */
     XbarSwitch &
@@ -191,18 +175,6 @@ class Network final : public Transport
     /** Injection-queue capacity with any active fault squeeze. */
     unsigned effectiveInjectCapacity(NodeId n) const;
 
-    StatGroup _stats{"network"};
-    Counter &_injectedCtr;
-    Counter &_deliveredCtr;
-    Counter &_multicastCopies;
-    Counter &_gatherAbsorbed;
-    Counter &_gatherForwarded;
-    Counter &_combineMerged;
-    Counter &_combineSkipped;
-    Counter &_combineDecombined;
-    SampleStat &_latency;
-    std::uint64_t _injected = 0;
-    std::uint64_t _delivered = 0;
     std::uint64_t _nextPacketId = 1;
 };
 

@@ -104,11 +104,11 @@ XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
         std::uint16_t gid = pkt->gatherId;
         auto res = _gather.absorb(gid, in_port, pattern);
         if (res == GatherTable::Result::Absorbed) {
-            ++_net.gatherAbsorbed();
+            ++_net.gatherAbsorbed;
             releaseReservation(in_port, outs);
             return; // merged away
         }
-        ++_net.gatherForwarded();
+        ++_net.gatherForwarded;
         // Forward the last reply after the merge overhead.
         unsigned out = outs[0];
         _eq.scheduleAfter(_cfg.gatherMergeLatency,
@@ -138,7 +138,7 @@ XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
     // Multicast replication: clone into each covered output's
     // crosspoint buffer; the original moves into the last one.
     for (std::size_t k = 0; k + 1 < outs.size(); ++k) {
-        ++_net.multicastCopies();
+        ++_net.multicastCopies;
         enqueue(in_port, outs[k], pkt->clone());
     }
     enqueue(in_port, outs.back(), std::move(pkt));
@@ -164,7 +164,7 @@ XbarSwitch::tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt)
                 // Record slot aliased by a live merge: skip the
                 // combine and forward uncombined. Never wrong,
                 // only slower (net_config.hh).
-                ++_net.combineSkipped();
+                ++_net.combineSkipped;
                 return false;
             }
             CombineTable::Record r;
@@ -178,7 +178,7 @@ XbarSwitch::tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt)
             _combine.store(r);
             q->combineOperand = combineApply(
                 q->combineOp, q->combineOperand, pkt->combineOperand);
-            ++_net.combineMerged();
+            ++_net.combineMerged;
             std::vector<unsigned> outs{out};
             pkt.reset();
             releaseReservation(in_port, outs);

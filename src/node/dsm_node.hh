@@ -117,7 +117,17 @@ class DsmNode : public Endpoint
     void inputSpaceFreed();
 
     /** Total protocol messages this node has emitted. */
-    std::uint64_t sentCount() const { return _sent; }
+    std::uint64_t sentCount() const { return _sent.value(); }
+
+    /** Zero the master, home and slave statistics and sentCount(). */
+    void
+    resetStats()
+    {
+        static_cast<MasterStats &>(_master) = {};
+        static_cast<HomeStats &>(_home) = {};
+        static_cast<SlaveStats &>(_slave) = {};
+        _sent = {};
+    }
 
     /**
      * Handler for non-coherence packets delivered to this node
@@ -201,7 +211,7 @@ class DsmNode : public Endpoint
 
     unsigned _outputHolds = 0; ///< active fault hold windows
 
-    std::uint64_t _sent = 0;
+    Counter _sent;
 };
 
 } // namespace cenju

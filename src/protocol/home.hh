@@ -44,13 +44,27 @@ struct QueuedReq
     std::uint32_t epoch; ///< phase epoch at issue (src/policy/)
 };
 
+/** Home-side statistics, reset by DsmNode. */
+struct HomeStats
+{
+    Counter requestsProcessed;
+    Counter requestsQueued;
+    Counter nacksSent;
+    Counter invalidationMulticasts;
+    Counter invalidationUnicasts;
+    Counter writebacksProcessed;
+    Counter gatherWaits;
+    Counter atomicsProcessed;
+    SampleStat queueWaitDepth;
+};
+
 /**
  * Directory-side protocol engine of one node. Implements the
  * HomeCtx mechanism interface so the node's CoherencePolicy
  * (src/policy/, docs/ARCHITECTURE.md "Protocol policies") can steer
  * the conflict discipline without seeing protocol message types.
  */
-class HomeModule : public HomeCtx
+class HomeModule : public HomeCtx, public HomeStats
 {
   public:
     explicit HomeModule(DsmNode &node);
@@ -103,17 +117,6 @@ class HomeModule : public HomeCtx
      */
     void faultHoldGather() { ++_gatherHolds; }
     void faultReleaseGather();
-
-    // statistics
-    Counter requestsProcessed;
-    Counter requestsQueued;
-    Counter nacksSent;
-    Counter invalidationMulticasts;
-    Counter invalidationUnicasts;
-    Counter writebacksProcessed;
-    Counter gatherWaits;
-    Counter atomicsProcessed;
-    SampleStat queueWaitDepth;
 
   private:
     struct PendingOp

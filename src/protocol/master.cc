@@ -47,11 +47,11 @@ MasterModule::outstandingBlocks() const
     return blocks;
 }
 
-void
-MasterModule::load(Addr addr, LoadCallback done)
+AccessClass
+MasterModule::countAccess(Addr addr)
 {
-    ++loads;
-    switch (classify(addr)) {
+    AccessClass cls = classify(addr);
+    switch (cls) {
       case AccessClass::Private:
         ++accPrivate;
         break;
@@ -62,8 +62,14 @@ MasterModule::load(Addr addr, LoadCallback done)
         ++accSharedRemote;
         break;
     }
+    return cls;
+}
 
-    if (!addr_map::isShared(addr)) {
+void
+MasterModule::load(Addr addr, LoadCallback done)
+{
+    AccessClass cls = countAccess(addr);
+    if (cls == AccessClass::Private) {
         accessPrivate(addr, false, 0, std::move(done), nullptr);
         return;
     }
@@ -80,7 +86,7 @@ MasterModule::load(Addr addr, LoadCallback done)
         return;
     }
     ++cacheMisses;
-    if (classify(addr) == AccessClass::SharedLocal)
+    if (cls == AccessClass::SharedLocal)
         ++missSharedLocal;
     else
         ++missSharedRemote;
@@ -92,20 +98,8 @@ void
 MasterModule::store(Addr addr, std::uint64_t value,
                     StoreCallback done)
 {
-    ++stores;
-    switch (classify(addr)) {
-      case AccessClass::Private:
-        ++accPrivate;
-        break;
-      case AccessClass::SharedLocal:
-        ++accSharedLocal;
-        break;
-      case AccessClass::SharedRemote:
-        ++accSharedRemote;
-        break;
-    }
-
-    if (!addr_map::isShared(addr)) {
+    AccessClass cls = countAccess(addr);
+    if (cls == AccessClass::Private) {
         if (_node.cfg().isReplicated(addr)) {
             updateStore(addr, value, std::move(done));
             return;
@@ -133,7 +127,7 @@ MasterModule::store(Addr addr, std::uint64_t value,
     // matching the paper's "cache misses include store accesses to
     // shared cache blocks".
     ++cacheMisses;
-    if (classify(addr) == AccessClass::SharedLocal)
+    if (cls == AccessClass::SharedLocal)
         ++missSharedLocal;
     else
         ++missSharedRemote;
@@ -307,10 +301,7 @@ MasterModule::atomicOp(Addr addr, CombineOp op,
               (unsigned long long)addr);
     }
     ++atomicOps;
-    if (classify(addr) == AccessClass::SharedLocal)
-        ++accSharedLocal;
-    else
-        ++accSharedRemote;
+    countAccess(addr);
     _atomics.push_back(
         PendingAtomic{addr, op, operand, std::move(done)});
     if (!_atomicBusy)

@@ -41,12 +41,32 @@ enum class AccessClass
     SharedRemote,
 };
 
+/** Master-side statistics (Tables 3/4), reset by DsmNode. */
+struct MasterStats
+{
+    Counter cacheHits;
+    Counter cacheMisses;
+    Counter missPrivate;
+    Counter missSharedLocal;
+    Counter missSharedRemote;
+    Counter accPrivate;
+    Counter accSharedLocal;
+    Counter accSharedRemote;
+    Counter writebacks;
+    Counter nackRetries;
+    Counter ownershipReissues;
+    Counter updateStores;
+    Counter atomicOps;
+    SampleStat loadMissLatency;
+    SampleStat storeMissLatency;
+};
+
 /**
  * Processor-side protocol engine of one node. Implements the
  * MasterCtx mechanism interface so the node's CoherencePolicy can
  * steer the nack-retry discipline (src/policy/).
  */
-class MasterModule : public MasterCtx
+class MasterModule : public MasterCtx, public MasterStats
 {
   public:
     /**
@@ -105,25 +125,6 @@ class MasterModule : public MasterCtx
     /** Block addresses of busy MSHRs (stall diagnostics). */
     std::vector<Addr> outstandingBlocks() const;
 
-    // statistics, aggregated by the system layer
-    Counter loads;
-    Counter stores;
-    Counter cacheHits;
-    Counter cacheMisses;
-    Counter missPrivate;
-    Counter missSharedLocal;
-    Counter missSharedRemote;
-    Counter accPrivate;
-    Counter accSharedLocal;
-    Counter accSharedRemote;
-    Counter writebacks;
-    Counter nackRetries;
-    Counter ownershipReissues;
-    Counter updateStores;
-    Counter atomicOps;
-    SampleStat loadMissLatency;
-    SampleStat storeMissLatency;
-
   private:
     struct Mshr
     {
@@ -148,6 +149,9 @@ class MasterModule : public MasterCtx
         LoadCallback loadDone;
         StoreCallback storeDone;
     };
+
+    /** Count @p addr's access class (accPrivate/...), return it. */
+    AccessClass countAccess(Addr addr);
 
     void accessPrivate(Addr addr, bool is_store,
                        std::uint64_t value, LoadCallback ldone,

@@ -74,15 +74,12 @@ SlaveModule::serve(std::unique_ptr<CohPacket> pkt, Tick extra)
     switch (pkt->type) {
       case CohMsgType::Invalidate:
         ++invalidationsReceived;
-        if (line && pkt->master == _node.id()) {
-            // The multicast destination mirrored the directory
-            // structure and so includes the requesting master
-            // itself; its own copy must survive the ownership
-            // upgrade. Acknowledge without invalidating.
-            ++selfInvFiltered;
-        } else if (line) {
+        // The multicast destination mirrored the directory structure
+        // and so includes the requesting master itself; its own copy
+        // must survive the ownership upgrade. Acknowledge without
+        // invalidating.
+        if (line && pkt->master != _node.id())
             line->state = CacheState::Invalid;
-        }
         reply->type = CohMsgType::InvAck;
         if (pkt->ackGathered) {
             reply->gathered = true;

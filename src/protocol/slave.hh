@@ -26,8 +26,17 @@ namespace cenju
 
 class DsmNode;
 
+/** Slave-side statistics, reset by DsmNode. */
+struct SlaveStats
+{
+    Counter invalidationsReceived;
+    Counter forwardsReceived;
+    Counter updatesReceived;
+    Counter memOverflowed;
+};
+
 /** Cache-side protocol engine of one node. */
-class SlaveModule
+class SlaveModule : public SlaveStats
 {
   public:
     explicit SlaveModule(DsmNode &node);
@@ -53,13 +62,6 @@ class SlaveModule
 
     /** True if a reply is stalled on the node's output register. */
     bool replyStalled() const { return _stalledReply != nullptr; }
-
-    // statistics
-    Counter invalidationsReceived;
-    Counter forwardsReceived;
-    Counter updatesReceived;
-    Counter memOverflowed;
-    Counter selfInvFiltered;
 
   private:
     void processNext();

@@ -19,20 +19,7 @@ ReliableTransport::ReliableTransport(std::unique_ptr<Transport> inner)
       _eq(_inner->eventQueue()),
       _uppers(_inner->numNodes(), nullptr),
       _tx(_inner->numNodes()),
-      _rx(_inner->numNodes()),
-      _stats("reliable"),
-      _dataSent(_stats.counter("data_sent")),
-      _retransmits(_stats.counter("retransmits")),
-      _dupDiscards(_stats.counter("dup_discards")),
-      _gapDiscards(_stats.counter("gap_discards")),
-      _checksumRejects(_stats.counter("checksum_rejects")),
-      _acks(_stats.counter("acks")),
-      _backoffTicks(_stats.counter("backoff_ticks")),
-      _gatherMerged(_stats.counter("gather_merged")),
-      _faultDrops(_stats.counter("fault_drops")),
-      _faultDups(_stats.counter("fault_dups")),
-      _faultCorrupts(_stats.counter("fault_corrupts")),
-      _linksDead(_stats.counter("links_dead"))
+      _rx(_inner->numNodes())
 {
     unsigned n = _inner->numNodes();
     _shims.resize(n);
@@ -41,6 +28,15 @@ ReliableTransport::ReliableTransport(std::unique_ptr<Transport> inner)
         _shims[i].node = i;
         _inner->attach(i, &_shims[i]);
     }
+}
+
+NetStats
+ReliableTransport::netStats() const
+{
+    NetStats s = _inner->netStats();
+    s.injected = injected;
+    s.delivered = delivered;
+    return s;
 }
 
 std::uint32_t
@@ -89,7 +85,7 @@ ReliableTransport::tryInject(PacketPtr &&pkt)
         tx.wasFull = true;
         return false;
     }
-    ++_injected;
+    ++injected;
     if (pkt->dest.kind() != DestSpec::Kind::Unicast) {
         // Wire normalization: the fabric must never replicate a
         // sequenced packet, so the multicast fans out here into one
@@ -125,7 +121,7 @@ ReliableTransport::sendData(NodeId src, NodeId dst, PacketPtr pkt)
     SendChan &ch = _send[chanKey(src, dst)];
     pkt->relSeq = ch.nextSeq++;
     pkt->relChecksum = headerSum(*pkt);
-    ++_dataSent;
+    ++dataSent;
 
     Sent s;
     s.seq = pkt->relSeq;
@@ -189,10 +185,10 @@ ReliableTransport::onInnerDeliver(NodeId dst, PacketPtr pkt)
       case LossKind::Drop:
         // Silent loss: no ack, so the sender's retransmit timer
         // recovers the packet (and everything behind it).
-        ++_faultDrops;
+        ++faultDrops;
         return;
       case LossKind::Duplicate: {
-        ++_faultDups;
+        ++faultDups;
         PacketPtr dup = pkt->clone();
         receiveData(dst, std::move(pkt));
         receiveData(dst, std::move(dup));
@@ -201,7 +197,7 @@ ReliableTransport::onInnerDeliver(NodeId dst, PacketPtr pkt)
       case LossKind::Corrupt:
         // A detected bit error: the checksum no longer verifies, so
         // the packet is discarded below and retransmission recovers.
-        ++_faultCorrupts;
+        ++faultCorrupts;
         pkt->relChecksum ^= 0x5a5a5a5au;
         receiveData(dst, std::move(pkt));
         return;
@@ -218,7 +214,7 @@ ReliableTransport::receiveData(NodeId dst, PacketPtr pkt)
     if (pkt->relSeq == 0)
         panic("reliable: unsequenced packet from node %u", src);
     if (headerSum(*pkt) != pkt->relChecksum) {
-        ++_checksumRejects;
+        ++checksumRejects;
         return; // no ack: sender retransmits
     }
     RecvChan &rc = _recv[chanKey(src, dst)];
@@ -230,12 +226,12 @@ ReliableTransport::receiveData(NodeId dst, PacketPtr pkt)
     } else if (seq < rc.expected) {
         // Duplicate (fault-injected or a retransmit overshoot):
         // discard, but re-ack so a lost ack cannot wedge the sender.
-        ++_dupDiscards;
+        ++dupDiscards;
         scheduleAck(src, dst, rc.expected - 1);
     } else {
         // Gap: go-back-N resends everything from `expected` in
         // order, so out-of-window packets are simply discarded.
-        ++_gapDiscards;
+        ++gapDiscards;
         scheduleAck(src, dst, rc.expected - 1);
     }
 }
@@ -266,7 +262,7 @@ ReliableTransport::acceptUp(NodeId dst, PacketPtr pkt)
         if (--it->second > 0)
             return; // absorbed
         rx.gathers.erase(it);
-        ++_gatherMerged;
+        ++gatherMerged;
     }
     _rx[dst].upQ.push_back(std::move(pkt));
     pumpUp(dst);
@@ -287,7 +283,7 @@ ReliableTransport::pumpUp(NodeId dst)
             break; // endpoint calls deliveryRetry() on free space
         PacketPtr pkt = std::move(rx.upQ.front());
         rx.upQ.pop_front();
-        ++_delivered;
+        ++delivered;
         ep->deliver(std::move(pkt));
         if (_checkHook)
             _checkHook->onStep(check::StepKind::NetworkDeliver,
@@ -303,7 +299,7 @@ ReliableTransport::scheduleAck(NodeId dataSrc, NodeId dst,
     // Out-of-band cumulative ack: a dedicated hardware wire in the
     // model, so it occupies no fabric resources and is not subject
     // to the loss faults (docs/TESTING.md).
-    ++_acks;
+    ++acksSent;
     _eq.scheduleAfter(ackLatency, [this, dataSrc, dst, seq] {
         onAck(dataSrc, dst, seq);
     });
@@ -350,7 +346,7 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
     SendChan &ch = it->second;
     if (gen != ch.generation || ch.unacked.empty() || ch.dead)
         return; // stale timer: a cumulative ack made progress
-    _backoffTicks += ch.rto;
+    backoffTicks += ch.rto;
     ++ch.retries;
     if (ch.retries > retryBudget) {
         linkDead(src, dst, ch);
@@ -360,7 +356,7 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
     // order (the receiver discards anything out of order anyway).
     for (Sent &s : ch.unacked) {
         _tx[src].wireQ.push_back(s.pkt->clone());
-        ++_retransmits;
+        ++retransmits;
     }
     ch.rto = std::min<Tick>(ch.rto * 2, rtoCap);
     ++ch.generation;
@@ -372,7 +368,7 @@ void
 ReliableTransport::linkDead(NodeId src, NodeId dst, SendChan &ch)
 {
     ch.dead = true;
-    ++_linksDead;
+    ++linksDead;
     if (_onLinkDead) {
         _onLinkDead(src, dst);
         return;

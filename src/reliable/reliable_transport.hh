@@ -57,8 +57,27 @@
 namespace cenju
 {
 
+/** Statistics of the reliability layer (docs/TESTING.md). */
+struct ReliableStats
+{
+    Counter injected;        ///< packets accepted from above
+    Counter delivered;       ///< exactly-once deliveries upward
+    Counter dataSent;        ///< sequenced packets sent (no resends)
+    Counter retransmits;     ///< go-back-N resends
+    Counter dupDiscards;     ///< duplicates dropped (and re-acked)
+    Counter gapDiscards;     ///< out-of-order arrivals dropped
+    Counter checksumRejects; ///< corrupted packets refused
+    Counter acksSent;        ///< cumulative acks on the ack wire
+    Counter backoffTicks;    ///< retransmit-timer time waited
+    Counter gatherMerged;    ///< gather groups merged at the receiver
+    Counter faultDrops;      ///< inner deliveries the plan dropped
+    Counter faultDups;       ///< inner deliveries the plan doubled
+    Counter faultCorrupts;   ///< inner deliveries the plan corrupted
+    Counter linksDead;       ///< channels past the retry budget
+};
+
 /** Exactly-once, in-order delivery over a lossy inner fabric. */
-class ReliableTransport final : public Transport
+class ReliableTransport final : public Transport, public ReliableStats
 {
   public:
     /** Retransmit timer: initial value, doubling cap, retry budget.
@@ -96,10 +115,9 @@ class ReliableTransport final : public Transport
                static_cast<unsigned>(_tx[n].wireQ.size());
     }
 
-    std::uint64_t injectedCount() const override { return _injected; }
-    std::uint64_t deliveredCount() const override { return _delivered; }
-
-    StatGroup &stats() override { return _stats; }
+    /** The inner fabric's counts, with the exactly-once injected
+     * and delivered counts of this layer. */
+    NetStats netStats() const override;
 
     /** The home serializes atomic RMWs; no fabric combining. */
     CombineMode
@@ -147,25 +165,6 @@ class ReliableTransport final : public Transport
      */
     using LinkDeadFn = InlineFunction<void(NodeId, NodeId)>;
     void setLinkDeadHandler(LinkDeadFn fn) { _onLinkDead = std::move(fn); }
-
-    // --- counters (also exported via stats()) ---------------------
-    std::uint64_t dataSent() const { return _dataSent.value(); }
-    std::uint64_t retransmits() const { return _retransmits.value(); }
-    std::uint64_t dupDiscards() const { return _dupDiscards.value(); }
-    std::uint64_t gapDiscards() const { return _gapDiscards.value(); }
-    std::uint64_t checksumRejects() const
-    {
-        return _checksumRejects.value();
-    }
-    std::uint64_t acksSent() const { return _acks.value(); }
-    std::uint64_t backoffTicks() const { return _backoffTicks.value(); }
-    std::uint64_t faultDrops() const { return _faultDrops.value(); }
-    std::uint64_t faultDups() const { return _faultDups.value(); }
-    std::uint64_t faultCorrupts() const
-    {
-        return _faultCorrupts.value();
-    }
-    std::uint64_t linksDead() const { return _linksDead.value(); }
 
     /** Header checksum as stamped at send time (relChecksum). */
     static std::uint32_t headerSum(const Packet &pkt);
@@ -269,23 +268,6 @@ class ReliableTransport final : public Transport
     std::unordered_map<std::uint64_t, RecvChan, U64MixHash> _recv;
 
     LinkDeadFn _onLinkDead;
-
-    std::uint64_t _injected = 0;
-    std::uint64_t _delivered = 0;
-
-    StatGroup _stats;
-    Counter &_dataSent;
-    Counter &_retransmits;
-    Counter &_dupDiscards;
-    Counter &_gapDiscards;
-    Counter &_checksumRejects;
-    Counter &_acks;
-    Counter &_backoffTicks;
-    Counter &_gatherMerged;
-    Counter &_faultDrops;
-    Counter &_faultDups;
-    Counter &_faultCorrupts;
-    Counter &_linksDead;
 };
 
 } // namespace cenju

@@ -1,7 +1,5 @@
 #include "stats.hh"
 
-#include <iomanip>
-
 namespace cenju
 {
 
@@ -25,30 +23,6 @@ StatGroup::sampleStat(const std::string &name)
     }
     _samples.emplace_back(name, SampleStat());
     return _samples.back().second;
-}
-
-void
-StatGroup::print(std::ostream &os) const
-{
-    for (const auto &kv : _counters)
-        os << _name << '.' << kv.first << ' ' << kv.second.value()
-           << '\n';
-    for (const auto &kv : _samples) {
-        const SampleStat &s = kv.second;
-        os << _name << '.' << kv.first << " count=" << s.count()
-           << " mean=" << std::fixed << std::setprecision(2)
-           << s.mean() << " min=" << s.min() << " max=" << s.max()
-           << std::defaultfloat << '\n';
-    }
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &kv : _counters)
-        kv.second.reset();
-    for (auto &kv : _samples)
-        kv.second.reset();
 }
 
 } // namespace cenju

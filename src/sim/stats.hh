@@ -1,10 +1,12 @@
 /**
  * @file
- * Lightweight statistics package: named counters and sample
- * statistics, grouped per component and renderable as text tables.
+ * Lightweight statistics package: counters and sample statistics.
  *
- * Modelled loosely on gem5's stats but kept minimal: the benches in
- * bench/ consume these objects directly to print the paper's tables.
+ * Each component declares its statistics once, as plain fields of
+ * one block struct (MasterStats, HomeStats, NetStats, ...), so one
+ * assignment resets a block and readers use the fields directly.
+ * StatGroup is the by-name view for reports that look statistics up
+ * by name (Transport::stats()).
  */
 
 #ifndef CENJU_SIM_STATS_HH
@@ -15,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,7 +31,6 @@ class Counter
     Counter &operator++() { ++_value; return *this; }
     Counter &operator+=(std::uint64_t n) { _value += n; return *this; }
     std::uint64_t value() const { return _value; }
-    void reset() { _value = 0; }
 
   private:
     std::uint64_t _value = 0;
@@ -69,15 +69,6 @@ class SampleStat
         double n = static_cast<double>(_count);
         double var = (_sumSq - _sum * _sum / n) / (n - 1);
         return var > 0 ? std::sqrt(var) : 0.0;
-    }
-
-    void
-    reset()
-    {
-        _count = 0;
-        _sum = _sumSq = 0.0;
-        _min = std::numeric_limits<double>::infinity();
-        _max = -std::numeric_limits<double>::infinity();
     }
 
     /** Merge another sample set into this one. */
@@ -127,10 +118,7 @@ class Histogram
     SampleStat _stat;
 };
 
-/**
- * A named bag of statistics for one component, printable as
- * "group.name value" lines.
- */
+/** A named bag of statistics: the by-name view of one block. */
 class StatGroup
 {
   public:
@@ -154,9 +142,6 @@ class StatGroup
     {
         return _samples;
     }
-
-    void print(std::ostream &os) const;
-    void reset();
 
   private:
     // Deques, not vectors: references returned by counter() and

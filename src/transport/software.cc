@@ -9,20 +9,12 @@ namespace cenju
 SoftwareTransport::SoftwareTransport(EventQueue &eq,
                                      const NetConfig &cfg,
                                      bool software_fanout,
-                                     bool serialize_eject,
-                                     const char *stat_name)
+                                     bool serialize_eject)
     : _eq(eq), _cfg(cfg), _softwareFanout(software_fanout),
       _serializeEject(serialize_eject),
       _injectors(cfg.numNodes), _ports(cfg.numNodes),
       _endpoints(cfg.numNodes, nullptr),
-      _combiners(software_fanout ? cfg.numNodes : 0),
-      _stats(stat_name),
-      _injectedCtr(_stats.counter("injected")),
-      _deliveredCtr(_stats.counter("delivered")),
-      _multicastCopies(_stats.counter("multicast_copies")),
-      _gatherAbsorbed(_stats.counter("gather_absorbed")),
-      _gatherForwarded(_stats.counter("gather_forwarded")),
-      _latency(_stats.sampleStat("latency_ns"))
+      _combiners(software_fanout ? cfg.numNodes : 0)
 {
     // Charge the multistage fabric's uncontended path so the two
     // fabrics agree exactly when there is no contention (the Table 2
@@ -55,39 +47,21 @@ SoftwareTransport::nowOf(NodeId n)
     return queueOf(n).now();
 }
 
-StatGroup &
-SoftwareTransport::stats()
+NetStats
+SoftwareTransport::netStats() const
 {
-    // Hot paths keep statistics in per-node (per-shard-owned) state;
-    // fold them into the published group on demand.
-    _injectedCtr.reset();
-    _multicastCopies.reset();
-    std::uint64_t injected = 0;
-    std::uint64_t copies = 0;
+    NetStats s;
     for (const Injector &inj : _injectors) {
-        injected += inj.injected;
-        copies += inj.multicastCopies;
+        s.injected += inj.injected;
+        s.multicastCopies += inj.multicastCopies;
     }
-    _injectedCtr += injected;
-    _multicastCopies += copies;
-
-    _deliveredCtr.reset();
-    _gatherAbsorbed.reset();
-    _gatherForwarded.reset();
-    _latency.reset();
-    std::uint64_t delivered = 0;
-    std::uint64_t absorbed = 0;
-    std::uint64_t forwarded = 0;
     for (const DeliveryPort &p : _ports) {
-        delivered += p.delivered;
-        absorbed += p.gatherAbsorbed;
-        forwarded += p.gatherForwarded;
-        _latency.merge(p.latency);
+        s.delivered += p.delivered;
+        s.gatherAbsorbed += p.gatherAbsorbed;
+        s.gatherForwarded += p.gatherForwarded;
+        s.latency.merge(p.latency);
     }
-    _deliveredCtr += delivered;
-    _gatherAbsorbed += absorbed;
-    _gatherForwarded += forwarded;
-    return _stats;
+    return s;
 }
 
 void

@@ -50,8 +50,8 @@ class SoftwareTransport : public Transport
     unsigned numNodes() const override { return _cfg.numNodes; }
     EventQueue &eventQueue() override { return _eq; }
 
-    /** Refreshes the group from per-node state, then returns it. */
-    StatGroup &stats() override;
+    /** Sums the per-node counts (kept per node for sharding). */
+    NetStats netStats() const override;
 
     const NetConfig &config() const { return _cfg; }
 
@@ -98,22 +98,6 @@ class SoftwareTransport : public Transport
                                      inj.fanout.size());
     }
 
-    std::uint64_t injectedCount() const override
-    {
-        std::uint64_t sum = 0;
-        for (const Injector &inj : _injectors)
-            sum += inj.injected;
-        return sum;
-    }
-
-    std::uint64_t deliveredCount() const override
-    {
-        std::uint64_t sum = 0;
-        for (const DeliveryPort &p : _ports)
-            sum += p.delivered;
-        return sum;
-    }
-
   protected:
     /**
      * @param software_fanout expand multicasts into serial unicasts
@@ -124,8 +108,7 @@ class SoftwareTransport : public Transport
      *        software) instead of accepting back-to-back arrivals.
      */
     SoftwareTransport(EventQueue &eq, const NetConfig &cfg,
-                      bool software_fanout, bool serialize_eject,
-                      const char *stat_name);
+                      bool software_fanout, bool serialize_eject);
 
   private:
     /** In-progress software gather merge at one destination. */
@@ -285,14 +268,6 @@ class SoftwareTransport : public Transport
 
     /** Direct: per-node software combiners (empty on ideal). */
     std::vector<SwCombiner> _combiners;
-
-    StatGroup _stats;
-    Counter &_injectedCtr;
-    Counter &_deliveredCtr;
-    Counter &_multicastCopies;
-    Counter &_gatherAbsorbed;
-    Counter &_gatherForwarded;
-    SampleStat &_latency;
 };
 
 /**
@@ -304,7 +279,7 @@ class IdealTransport final : public SoftwareTransport
   public:
     IdealTransport(EventQueue &eq, const NetConfig &cfg)
         : SoftwareTransport(eq, cfg, /*software_fanout=*/false,
-                            /*serialize_eject=*/false, "ideal")
+                            /*serialize_eject=*/false)
     {}
 
     const char *name() const override { return "ideal"; }
@@ -321,7 +296,7 @@ class DirectTransport final : public SoftwareTransport
   public:
     DirectTransport(EventQueue &eq, const NetConfig &cfg)
         : SoftwareTransport(eq, cfg, /*software_fanout=*/true,
-                            /*serialize_eject=*/true, "direct")
+                            /*serialize_eject=*/true)
     {}
 
     const char *name() const override { return "direct"; }

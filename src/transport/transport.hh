@@ -35,9 +35,12 @@
 #define CENJU_TRANSPORT_TRANSPORT_HH
 
 #include <array>
+#include <string>
+#include <utility>
 
 #include "check/hooks.hh"
 #include "fault/hooks.hh"
+#include "sim/stats.hh"
 #include "sim/text.hh"
 #include "transport/combine.hh"
 #include "transport/packet.hh"
@@ -46,7 +49,6 @@ namespace cenju
 {
 
 class EventQueue;
-class StatGroup;
 
 namespace shard
 {
@@ -75,6 +77,42 @@ class Endpoint
 
     /** A previously full injection queue has space again. */
     virtual void injectSpaceAvailable() {}
+};
+
+/**
+ * Fabric statistics, counted from construction on (never reset).
+ * Every backend reports the whole block; one it has no use for
+ * (combining on ideal, say) stays zero.
+ */
+struct NetStats
+{
+    Counter injected;          ///< packets accepted for transmission
+    Counter delivered;         ///< packets handed to endpoints
+    Counter multicastCopies;   ///< extra copies a multicast fanned out
+    Counter gatherAbsorbed;    ///< gather replies merged away
+    Counter gatherForwarded;   ///< last gather replies sent on
+    Counter combineMerged;     ///< combinable requests merged away
+    Counter combineSkipped;    ///< merges skipped (record slot busy)
+    Counter combineDecombined; ///< replies rebuilt for merged requests
+    SampleStat latency;        ///< inject-to-deliver time (ns)
+
+    /** The block by name, in declaration order: the names reports
+     * look up (perfbench/dsm_bench.cc). */
+    StatGroup
+    byName(std::string group) const
+    {
+        StatGroup g(std::move(group));
+        g.counter("injected") += injected.value();
+        g.counter("delivered") += delivered.value();
+        g.counter("multicast_copies") += multicastCopies.value();
+        g.counter("gather_absorbed") += gatherAbsorbed.value();
+        g.counter("gather_forwarded") += gatherForwarded.value();
+        g.counter("combine_merged") += combineMerged.value();
+        g.counter("combine_skipped") += combineSkipped.value();
+        g.counter("combine_decombined") += combineDecombined.value();
+        g.sampleStat("latency_ns").merge(latency);
+        return g;
+    }
 };
 
 /** Abstract interconnect connecting up to 1024 node endpoints. */
@@ -120,14 +158,25 @@ class Transport
     /** Packets waiting in node @p n's injection queue. */
     virtual unsigned injectBacklog(NodeId n) const = 0;
 
+    /** Fabric statistics since construction. */
+    virtual NetStats netStats() const = 0;
+
     /** Packets accepted for transmission so far. */
-    virtual std::uint64_t injectedCount() const = 0;
+    std::uint64_t
+    injectedCount() const
+    {
+        return netStats().injected.value();
+    }
 
     /** Packets handed to endpoints so far. */
-    virtual std::uint64_t deliveredCount() const = 0;
+    std::uint64_t
+    deliveredCount() const
+    {
+        return netStats().delivered.value();
+    }
 
-    /** Backend statistics (injected/delivered/latency/...). */
-    virtual StatGroup &stats() = 0;
+    /** netStats() by name, grouped under the backend's name(). */
+    StatGroup stats() const { return netStats().byName(name()); }
 
     /** Decoded destination set of @p pkt (cached in the packet). */
     const NodeSet &

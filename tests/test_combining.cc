@@ -250,15 +250,15 @@ TEST_P(CombineNet, StormMergesAndDecombinesToSerialValues)
     ASSERT_GT(f.eps[home]->got.size(), 0u);
     EXPECT_LT(f.eps[home]->got.size(), operandOf.size())
         << "no request ever combined on a 15-way same-key storm";
-    EXPECT_GT(f.net->combineMerged().value(), 0u);
+    EXPECT_GT(f.net->combineMerged.value(), 0u);
 
     std::uint64_t mem = op == CombineOp::Min ? 5000 : 100;
     const std::uint64_t init = mem;
     f.replyAll(home, mem);
     f.eq.run();
 
-    EXPECT_EQ(f.net->combineDecombined().value(),
-              f.net->combineMerged().value());
+    EXPECT_EQ(f.net->combineDecombined.value(),
+              f.net->combineMerged.value());
     f.expectCombineTablesIdle();
 
     // Replies observed by each requester, in a serialization the
@@ -375,7 +375,7 @@ TEST(CombineNetAliasing, OneSlotTableSkipsMergesButStaysCorrect)
     }
     f.eq.run();
 
-    EXPECT_GT(f.net->combineSkipped().value(), 0u)
+    EXPECT_GT(f.net->combineSkipped.value(), 0u)
         << "one-entry table never aliased; the regression test "
            "lost its subject";
 
@@ -385,8 +385,8 @@ TEST(CombineNetAliasing, OneSlotTableSkipsMergesButStaysCorrect)
     EXPECT_EQ(mem, sum);
     for (NodeId n = 1; n < 16; ++n)
         ASSERT_EQ(f.eps[n]->got.size(), 1u) << "node " << n;
-    EXPECT_EQ(f.net->combineDecombined().value(),
-              f.net->combineMerged().value());
+    EXPECT_EQ(f.net->combineDecombined.value(),
+              f.net->combineMerged.value());
     f.expectCombineTablesIdle();
 }
 
@@ -539,11 +539,11 @@ TEST(CombineSystem, MultistageStormCombinesInNetwork)
     });
     EXPECT_EQ(readWord(sys, ctr, 0), 256u);
     Network &net = sys.network();
-    EXPECT_GT(net.combineMerged().value(), 0u)
+    EXPECT_GT(net.combineMerged.value(), 0u)
         << "no merge ever happened in a 64-node hot-spot storm";
-    EXPECT_EQ(net.combineDecombined().value(),
-              net.combineMerged().value());
-    EXPECT_EQ(net.combineSkipped().value(), 0u)
+    EXPECT_EQ(net.combineDecombined.value(),
+              net.combineMerged.value());
+    EXPECT_EQ(net.combineSkipped.value(), 0u)
         << "default table should never alias at this scale";
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/dsm_system.hh"
 
 namespace cenju
@@ -220,6 +222,34 @@ TEST(RunStats, CountsAndBreakdowns)
     EXPECT_EQ(r.commTime, 51922u);
 }
 
+/** Every master, home and slave statistic of @p node, then its
+ * sentCount() (sample statistics by their sample count). */
+std::vector<std::uint64_t>
+nodeCounts(DsmNode &node)
+{
+    const MasterModule &m = node.master();
+    const HomeModule &h = node.home();
+    const SlaveModule &s = node.slave();
+    return {
+        m.cacheHits.value(), m.cacheMisses.value(),
+        m.missPrivate.value(), m.missSharedLocal.value(),
+        m.missSharedRemote.value(), m.accPrivate.value(),
+        m.accSharedLocal.value(), m.accSharedRemote.value(),
+        m.writebacks.value(), m.nackRetries.value(),
+        m.ownershipReissues.value(), m.updateStores.value(),
+        m.atomicOps.value(), m.loadMissLatency.count(),
+        m.storeMissLatency.count(),
+        h.requestsProcessed.value(), h.requestsQueued.value(),
+        h.nacksSent.value(), h.invalidationMulticasts.value(),
+        h.invalidationUnicasts.value(), h.writebacksProcessed.value(),
+        h.gatherWaits.value(), h.atomicsProcessed.value(),
+        h.queueWaitDepth.count(),
+        s.invalidationsReceived.value(), s.forwardsReceived.value(),
+        s.updatesReceived.value(), s.memOverflowed.value(),
+        node.sentCount(),
+    };
+}
+
 TEST(RunStats, SecondRunStartsClean)
 {
     DsmSystem sys(smallCfg(4));
@@ -232,6 +262,20 @@ TEST(RunStats, SecondRunStartsClean)
     EXPECT_EQ(r1.memAccesses, r2.memAccesses);
     // Second run hits in the cache: fewer misses.
     EXPECT_LT(r2.cacheMisses, r1.cacheMisses + 1);
+
+    // The per-node statistics restart too: after every node stores
+    // into one block homed on node 0, an empty run reads all zero.
+    ShmArray blk = sys.shmAlloc(4, Mapping::onNode(0));
+    sys.run([&](Env &env) -> Task {
+        co_await env.put(blk, env.id(), 1.0);
+    });
+    EXPECT_GT(sys.node(0).home().requestsProcessed.value(), 0u);
+    sys.run([](Env &) -> Task { co_return; });
+    for (NodeId n = 0; n < 4; ++n) {
+        std::vector<std::uint64_t> counts = nodeCounts(sys.node(n));
+        EXPECT_EQ(counts, std::vector<std::uint64_t>(counts.size(), 0))
+            << "node " << n;
+    }
 }
 
 TEST(RunStats, DeterministicAcrossSystems)

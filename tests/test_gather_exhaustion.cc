@@ -177,7 +177,7 @@ TEST(GatherExhaustion, ConcurrentAliasedGathersBackpressure)
     for (unsigned g = 0; g < 4; ++g)
         EXPECT_EQ(f.eps[g]->arrivals, 1u) << "gather " << g;
     // Each two-member gather merges exactly one reply away.
-    EXPECT_EQ(f.net->gatherAbsorbed().value(), 4u);
+    EXPECT_EQ(f.net->gatherAbsorbed.value(), 4u);
     f.expectAllTablesIdle();
 }
 
@@ -236,8 +236,8 @@ TEST(CombineExhaustion, AliasedSlotsSkipMergeInsteadOfBlocking)
 
     // Every request reached the home as SOME packet: merged ones
     // vanish into their rep, skipped ones arrive on their own.
-    std::uint64_t merged = f.net->combineMerged().value();
-    std::uint64_t skipped = f.net->combineSkipped().value();
+    std::uint64_t merged = f.net->combineMerged.value();
+    std::uint64_t skipped = f.net->combineSkipped.value();
     EXPECT_EQ(f.eps[15]->arrivals + merged, 4u);
     EXPECT_GT(skipped, 0u)
         << "one-entry table never aliased; the regression test "
@@ -275,7 +275,7 @@ TEST(CombineExhaustion, GatherAndCombineTablesAreIndependent)
     f.eq.run();
     // One merged gather reply plus the atomic traffic (merged into
     // one packet or arriving separately).
-    std::uint64_t merged = f.net->combineMerged().value();
+    std::uint64_t merged = f.net->combineMerged.value();
     EXPECT_EQ(f.eps[15]->arrivals + merged, 3u);
     f.expectAllTablesIdle(); // gather side fully drained
 }

@@ -224,7 +224,7 @@ TEST(Network, MulticastToSingleNodeBehavesAsUnicast)
     ASSERT_TRUE(f.net->tryInject(std::move(p)));
     f.eq.run();
     EXPECT_EQ(f.eps[11]->arrivals.size(), 1u);
-    EXPECT_EQ(f.net->multicastCopies().value(), 0u);
+    EXPECT_EQ(f.net->multicastCopies.value(), 0u);
 }
 
 class NetworkGather : public ::testing::TestWithParam<unsigned>
@@ -269,7 +269,7 @@ TEST_P(NetworkGather, CollapsesToExactlyOneReply)
     // Every member's reply is accounted for: absorbed merges plus
     // the replies that advanced a stage sum to the group size minus
     // nothing (each absorb removes exactly one in-flight reply).
-    EXPECT_EQ(f.net->gatherAbsorbed().value(), groupSize - 1u);
+    EXPECT_EQ(f.net->gatherAbsorbed.value(), groupSize - 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, NetworkGather,

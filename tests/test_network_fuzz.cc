@@ -167,7 +167,7 @@ runFuzz(unsigned nodes, std::uint64_t seed)
     }
     // Each gather round forwards at least once (per merging
     // switch) and delivered exactly one reply (checked above).
-    EXPECT_GE(net.gatherForwarded().value(), gathers_expected);
+    EXPECT_GE(net.gatherForwarded.value(), gathers_expected);
 }
 
 class NetworkFuzz : public ::testing::TestWithParam<unsigned>

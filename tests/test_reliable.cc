@@ -22,12 +22,14 @@
 #include <cstdlib>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/hooks.hh"
 #include "fault/stress.hh"
 #include "reliable/reliable_transport.hh"
 #include "sim/event_queue.hh"
+#include "sim/stats.hh"
 #include "transport/factory.hh"
 
 namespace cenju
@@ -159,6 +161,30 @@ struct Fixture
     std::vector<std::unique_ptr<RecordingEndpoint>> eps;
 };
 
+/** The names stats() lists: counters, then sample statistics. */
+std::vector<std::string>
+statNames(const StatGroup &g)
+{
+    std::vector<std::string> names;
+    for (const auto &[name, c] : g.counters())
+        names.push_back(name);
+    for (const auto &[name, s] : g.sampleStats())
+        names.push_back(name);
+    return names;
+}
+
+/** Counter @p name of @p g; a missing name fails the test. */
+std::uint64_t
+counterOf(const StatGroup &g, const std::string &name)
+{
+    for (const auto &[n, c] : g.counters()) {
+        if (n == name)
+            return c.value();
+    }
+    ADD_FAILURE() << "stats() lists no counter " << name;
+    return 0;
+}
+
 class ReliableOverBackend
     : public ::testing::TestWithParam<TransportKind>
 {};
@@ -177,10 +203,18 @@ TEST_P(ReliableOverBackend, CleanUnicastDeliversOnceNoRetransmit)
     EXPECT_EQ(tagOf(*f.eps[9]->arrivals[0]), 7);
     EXPECT_EQ(f.eps[9]->arrivals[0]->relSeq, 1u);
     // The clean path must never time out: zero spurious recovery.
-    EXPECT_EQ(f.rel().retransmits(), 0u);
-    EXPECT_EQ(f.rel().dupDiscards(), 0u);
-    EXPECT_EQ(f.rel().backoffTicks(), 0u);
+    EXPECT_EQ(f.rel().retransmits.value(), 0u);
+    EXPECT_EQ(f.rel().dupDiscards.value(), 0u);
+    EXPECT_EQ(f.rel().backoffTicks.value(), 0u);
     EXPECT_EQ(f.rel().deliveredCount(), 1u);
+
+    // The by-name view lists the inner backend's names, which
+    // TransportConformance pins on every backend, with this layer's
+    // exactly-once counts.
+    StatGroup g = f.rel().stats();
+    EXPECT_EQ(statNames(g), statNames(f.rel().inner().stats()));
+    EXPECT_EQ(counterOf(g, "injected"), f.rel().injectedCount());
+    EXPECT_EQ(counterOf(g, "delivered"), f.rel().deliveredCount());
 }
 
 TEST_P(ReliableOverBackend, PerSourceDestinationOrderingHolds)
@@ -255,7 +289,7 @@ TEST_P(ReliableOverBackend, DuplicateEveryPacketIsIdempotent)
     ASSERT_EQ(arr.size(), 10u);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(tagOf(*arr[i]), i) << "position " << i;
-    EXPECT_GT(f.rel().dupDiscards(), 0u);
+    EXPECT_GT(f.rel().dupDiscards.value(), 0u);
     EXPECT_EQ(f.rel().deliveredCount(), 10u);
     f.rel().setFaultHook(nullptr);
 }
@@ -284,11 +318,11 @@ TEST_P(ReliableOverBackend, DropRecoversWithDeterministicBackoff)
     ASSERT_EQ(f.eps[9]->arrivals.size(), 1u);
     EXPECT_EQ(f.eps[9]->arrivalTicks[0],
               cleanTick + 3 * ReliableTransport::rtoBase);
-    EXPECT_EQ(f.rel().retransmits(), 2u);
-    EXPECT_EQ(f.rel().faultDrops(), 2u);
-    EXPECT_EQ(f.rel().backoffTicks(),
+    EXPECT_EQ(f.rel().retransmits.value(), 2u);
+    EXPECT_EQ(f.rel().faultDrops.value(), 2u);
+    EXPECT_EQ(f.rel().backoffTicks.value(),
               3 * ReliableTransport::rtoBase);
-    EXPECT_EQ(f.rel().linksDead(), 0u);
+    EXPECT_EQ(f.rel().linksDead.value(), 0u);
     f.rel().setFaultHook(nullptr);
 }
 
@@ -304,8 +338,8 @@ TEST_P(ReliableOverBackend, CorruptionIsDetectedAndRetransmitted)
     EXPECT_EQ(tagOf(*f.eps[9]->arrivals[0]), 42);
     // The damaged copy was refused by checksum (never delivered,
     // never acked) and the timeout refetched it.
-    EXPECT_EQ(f.rel().checksumRejects(), 1u);
-    EXPECT_EQ(f.rel().retransmits(), 1u);
+    EXPECT_EQ(f.rel().checksumRejects.value(), 1u);
+    EXPECT_EQ(f.rel().retransmits.value(), 1u);
     EXPECT_EQ(f.rel().deliveredCount(), 1u);
     f.rel().setFaultHook(nullptr);
 }
@@ -327,8 +361,8 @@ TEST_P(ReliableOverBackend, RetryBudgetEscalatesToLinkDead)
     f.eq.run();
     EXPECT_EQ(deadSrc, 3u);
     EXPECT_EQ(deadDst, 9u);
-    EXPECT_EQ(f.rel().linksDead(), 1u);
-    EXPECT_EQ(f.rel().retransmits(), ReliableTransport::retryBudget);
+    EXPECT_EQ(f.rel().linksDead.value(), 1u);
+    EXPECT_EQ(f.rel().retransmits.value(), ReliableTransport::retryBudget);
     EXPECT_EQ(f.eps[9]->arrivals.size(), 0u);
     f.rel().setFaultHook(nullptr);
 }

@@ -17,10 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "directory/bit_pattern.hh"
 #include "sim/event_queue.hh"
+#include "sim/stats.hh"
 #include "transport/factory.hh"
 
 namespace cenju
@@ -134,6 +136,30 @@ struct Fixture
     std::unique_ptr<Transport> t;
     std::vector<std::unique_ptr<RecordingEndpoint>> eps;
 };
+
+/** The names stats() lists: counters, then sample statistics. */
+std::vector<std::string>
+statNames(const StatGroup &g)
+{
+    std::vector<std::string> names;
+    for (const auto &[name, c] : g.counters())
+        names.push_back(name);
+    for (const auto &[name, s] : g.sampleStats())
+        names.push_back(name);
+    return names;
+}
+
+/** Counter @p name of @p g; a missing name fails the test. */
+std::uint64_t
+counterOf(const StatGroup &g, const std::string &name)
+{
+    for (const auto &[n, c] : g.counters()) {
+        if (n == name)
+            return c.value();
+    }
+    ADD_FAILURE() << "stats() lists no counter " << name;
+    return 0;
+}
 
 class TransportConformance
     : public ::testing::TestWithParam<TransportKind>
@@ -301,6 +327,19 @@ TEST_P(TransportConformance, CountsStayConsistentUnderLoad)
     for (auto &ep : f.eps)
         got += ep->arrivals.size();
     EXPECT_EQ(got, sent);
+
+    // Every backend lists the same names by name (perfbench reads
+    // all but injected, delivered and combine_decombined), and the
+    // view agrees with the count readers.
+    StatGroup g = f.t->stats();
+    EXPECT_EQ(statNames(g),
+              (std::vector<std::string>{
+                  "injected", "delivered", "multicast_copies",
+                  "gather_absorbed", "gather_forwarded",
+                  "combine_merged", "combine_skipped",
+                  "combine_decombined", "latency_ns"}));
+    EXPECT_EQ(counterOf(g, "injected"), f.t->injectedCount());
+    EXPECT_EQ(counterOf(g, "delivered"), f.t->deliveredCount());
 }
 
 INSTANTIATE_TEST_SUITE_P(
