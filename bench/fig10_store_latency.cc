@@ -21,7 +21,7 @@
  */
 
 #include "bench/bench_util.hh"
-#include "network/topology.hh"
+#include "transport/net_config.hh"
 
 namespace cenju
 {
@@ -52,7 +52,7 @@ void
 series(unsigned nodes)
 {
     std::printf("\n-- %u-node system (%u-stage network)\n", nodes,
-                Topology::defaultStages(nodes));
+                NetConfig::defaultStages(nodes));
     std::printf("%10s %16s %16s %16s %16s\n", "sharers",
                 "multicast(ns)", "no-multicast(ns)", "ideal(ns)",
                 "direct(ns)");

@@ -12,7 +12,6 @@ DsmSystem::DsmSystem(const SystemConfig &cfg) : _cfg(cfg)
 {
     NetConfig nc;
     nc.numNodes = cfg.numNodes;
-    nc.stages = cfg.stages;
     nc.xbCapacity = cfg.xbCapacity;
     nc.stageLatency = cfg.proto.timing.networkStage;
     nc.injectLatency = cfg.proto.timing.networkOverhead / 2;

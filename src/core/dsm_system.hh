@@ -57,9 +57,6 @@ struct SystemConfig
     /** Nodes (1 .. 1024). */
     unsigned numNodes = 16;
 
-    /** Network stages (0 = the Cenju-4 size rule). */
-    unsigned stages = 0;
-
     /** Crosspoint buffer capacity per switch. */
     unsigned xbCapacity = 8;
 

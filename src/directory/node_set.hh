@@ -4,16 +4,10 @@
  *
  * Used throughout the simulator: as the ground-truth sharer set in
  * directory experiments, as the decoded destination set of a
- * multicast, and as reachability sets inside network switches. The
- * capacity is fixed at construction (up to 4096 to cover padded
- * 6-stage networks).
- *
- * Sets with capacity <= maxNodes (the common case: sharer sets,
- * multicast destinations, gather groups) store their bits inline and
- * never allocate; only oversized sets — switch reachability tables
- * for padded networks, built once at construction — fall back to the
- * heap. All loops are bounded by the word count for the actual
- * capacity, so small systems pay for small sets.
+ * multicast, and as a gather group. The capacity is fixed at
+ * construction, up to maxNodes; the bits are stored inline, so a set
+ * never allocates. All loops are bounded by the word count for the
+ * actual capacity, so small systems pay for small sets.
  */
 
 #ifndef CENJU_DIRECTORY_NODE_SET_HH
@@ -34,40 +28,20 @@ namespace cenju
 class NodeSet
 {
   public:
-    /** Empty set able to hold ids in [0, capacity). */
+    /**
+     * Empty set able to hold ids in [0, capacity).
+     * @pre capacity <= maxNodes
+     */
     explicit NodeSet(unsigned capacity = maxNodes)
         : _capacity(capacity), _nwords((capacity + 63) / 64)
     {
-        if (_nwords > inlineWords) {
-            _big.assign(_nwords, 0);
-        } else {
-            // Only words < _nwords are ever read; don't zero more.
-            for (unsigned i = 0; i < _nwords; ++i)
-                _inline[i] = 0;
+        if (capacity > maxNodes) {
+            panic("NodeSet: capacity %u above maxNodes %u", capacity,
+                  maxNodes);
         }
-    }
-
-    NodeSet(const NodeSet &) = default;
-    NodeSet &operator=(const NodeSet &) = default;
-
-    NodeSet(NodeSet &&o) noexcept
-        : _capacity(o._capacity), _nwords(o._nwords),
-          _inline(o._inline), _big(std::move(o._big))
-    {
-        o.resetToEmpty();
-    }
-
-    NodeSet &
-    operator=(NodeSet &&o) noexcept
-    {
-        if (this != &o) {
-            _capacity = o._capacity;
-            _nwords = o._nwords;
-            _inline = o._inline;
-            _big = std::move(o._big);
-            o.resetToEmpty();
-        }
-        return *this;
+        // Only words < _nwords are ever read; don't zero more.
+        for (unsigned i = 0; i < _nwords; ++i)
+            _words[i] = 0;
     }
 
     unsigned capacity() const { return _capacity; }
@@ -76,14 +50,14 @@ class NodeSet
     insert(NodeId n)
     {
         check(n);
-        words()[n >> 6] |= 1ull << (n & 63);
+        _words[n >> 6] |= 1ull << (n & 63);
     }
 
     void
     erase(NodeId n)
     {
         check(n);
-        words()[n >> 6] &= ~(1ull << (n & 63));
+        _words[n >> 6] &= ~(1ull << (n & 63));
     }
 
     bool
@@ -91,23 +65,21 @@ class NodeSet
     {
         if (n >= _capacity)
             return false;
-        return (words()[n >> 6] >> (n & 63)) & 1;
+        return (_words[n >> 6] >> (n & 63)) & 1;
     }
 
     void
     clear()
     {
-        std::uint64_t *w = words();
         for (unsigned i = 0; i < _nwords; ++i)
-            w[i] = 0;
+            _words[i] = 0;
     }
 
     bool
     empty() const
     {
-        const std::uint64_t *w = words();
         for (unsigned i = 0; i < _nwords; ++i) {
-            if (w[i])
+            if (_words[i])
                 return false;
         }
         return true;
@@ -117,10 +89,9 @@ class NodeSet
     unsigned
     count() const
     {
-        const std::uint64_t *w = words();
         unsigned c = 0;
         for (unsigned i = 0; i < _nwords; ++i)
-            c += static_cast<unsigned>(std::popcount(w[i]));
+            c += static_cast<unsigned>(std::popcount(_words[i]));
         return c;
     }
 
@@ -128,25 +99,46 @@ class NodeSet
     bool
     intersects(const NodeSet &o) const
     {
-        const std::uint64_t *a = words();
-        const std::uint64_t *b = o.words();
         unsigned n = std::min(_nwords, o._nwords);
         for (unsigned i = 0; i < n; ++i) {
-            if (a[i] & b[i])
+            if (_words[i] & o._words[i])
                 return true;
         }
         return false;
+    }
+
+    /**
+     * True if some member lies in [@p begin, @p end). Ids at or past
+     * the capacity are never members, so the range may run past it.
+     */
+    bool
+    intersectsRange(NodeId begin, NodeId end) const
+    {
+        end = std::min(end, _capacity);
+        if (begin >= end)
+            return false;
+        unsigned lo = begin >> 6;
+        unsigned hi = (end - 1) >> 6;
+        std::uint64_t loMask = ~0ull << (begin & 63);
+        std::uint64_t hiMask = ~0ull >> (63 - ((end - 1) & 63));
+        if (lo == hi)
+            return _words[lo] & loMask & hiMask;
+        if (_words[lo] & loMask)
+            return true;
+        for (unsigned i = lo + 1; i < hi; ++i) {
+            if (_words[i])
+                return true;
+        }
+        return _words[hi] & hiMask;
     }
 
     /** True if every member of this set is also in @p o. */
     bool
     subsetOf(const NodeSet &o) const
     {
-        const std::uint64_t *a = words();
-        const std::uint64_t *b = o.words();
         for (unsigned i = 0; i < _nwords; ++i) {
-            std::uint64_t ow = i < o._nwords ? b[i] : 0;
-            if (a[i] & ~ow)
+            std::uint64_t ow = i < o._nwords ? o._words[i] : 0;
+            if (_words[i] & ~ow)
                 return false;
         }
         return true;
@@ -155,33 +147,27 @@ class NodeSet
     NodeSet &
     operator|=(const NodeSet &o)
     {
-        std::uint64_t *a = words();
-        const std::uint64_t *b = o.words();
         unsigned n = std::min(_nwords, o._nwords);
         for (unsigned i = 0; i < n; ++i)
-            a[i] |= b[i];
+            _words[i] |= o._words[i];
         return *this;
     }
 
     NodeSet &
     operator&=(const NodeSet &o)
     {
-        std::uint64_t *a = words();
-        const std::uint64_t *b = o.words();
         for (unsigned i = 0; i < _nwords; ++i)
-            a[i] &= i < o._nwords ? b[i] : 0;
+            _words[i] &= i < o._nwords ? o._words[i] : 0;
         return *this;
     }
 
     bool
     operator==(const NodeSet &o) const
     {
-        const std::uint64_t *a = words();
-        const std::uint64_t *b = o.words();
         unsigned n = std::max(_nwords, o._nwords);
         for (unsigned i = 0; i < n; ++i) {
-            std::uint64_t x = i < _nwords ? a[i] : 0;
-            std::uint64_t y = i < o._nwords ? b[i] : 0;
+            std::uint64_t x = i < _nwords ? _words[i] : 0;
+            std::uint64_t y = i < o._nwords ? o._words[i] : 0;
             if (x != y)
                 return false;
         }
@@ -203,9 +189,8 @@ class NodeSet
     void
     forEach(Fn &&fn) const
     {
-        const std::uint64_t *ws = words();
         for (unsigned i = 0; i < _nwords; ++i) {
-            std::uint64_t w = ws[i];
+            std::uint64_t w = _words[i];
             while (w) {
                 unsigned b = std::countr_zero(w);
                 fn(static_cast<NodeId>(i * 64 + b));
@@ -218,43 +203,16 @@ class NodeSet
     NodeId
     first() const
     {
-        const std::uint64_t *w = words();
         for (unsigned i = 0; i < _nwords; ++i) {
-            if (w[i]) {
+            if (_words[i]) {
                 return static_cast<NodeId>(
-                    i * 64 + std::countr_zero(w[i]));
+                    i * 64 + std::countr_zero(_words[i]));
             }
         }
         return invalidNode;
     }
 
   private:
-    /** Words of inline storage; covers capacity <= maxNodes. */
-    static constexpr unsigned inlineWords = (maxNodes + 63) / 64;
-
-    std::uint64_t *
-    words()
-    {
-        return _nwords <= inlineWords ? _inline.data() : _big.data();
-    }
-
-    const std::uint64_t *
-    words() const
-    {
-        return _nwords <= inlineWords ? _inline.data() : _big.data();
-    }
-
-    /** Leave a moved-from set valid: empty with inline storage. */
-    void
-    resetToEmpty() noexcept
-    {
-        if (_nwords > inlineWords) {
-            _capacity = 0;
-            _nwords = 0;
-        }
-        _inline.fill(0);
-    }
-
     void
     check(NodeId n) const
     {
@@ -264,8 +222,7 @@ class NodeSet
 
     unsigned _capacity;
     unsigned _nwords;
-    std::array<std::uint64_t, inlineWords> _inline;
-    std::vector<std::uint64_t> _big; ///< only when capacity > maxNodes
+    std::array<std::uint64_t, (maxNodes + 63) / 64> _words;
 };
 
 } // namespace cenju

@@ -5,13 +5,13 @@
 
 #include "core/dsm_system.hh"
 #include "fault/injector.hh"
-#include "network/topology.hh"
 #include "node/dsm_node.hh"
 #include "protocol/cache.hh"
 #include "reliable/reliable_transport.hh"
 #include "shard/sharded_engine.hh"
 #include "sim/rng.hh"
 #include "sim/text.hh"
+#include "transport/net_config.hh"
 
 namespace cenju::fault
 {
@@ -46,23 +46,10 @@ makeStressCase(std::uint64_t seed, const StressOptions &opts)
 
     PlanShape shape;
     shape.nodes = c.nodes;
-    {
-        // Mirror Topology::defaultStages (enough radix-4 stages,
-        // rounded up to even past one) so plan targets land on real
-        // switches without clamping.
-        unsigned stages = 0;
-        unsigned cap = 1;
-        while (cap < c.nodes) {
-            cap *= switchRadix;
-            ++stages;
-        }
-        if (stages == 0)
-            stages = 1;
-        else if (stages > 1 && stages % 2)
-            ++stages;
-        shape.stages = stages;
-        shape.rows = 1u << (2 * (stages - 1));
-    }
+    // The fabric's own stage rule, so plan targets land on real
+    // switches without clamping.
+    shape.stages = NetConfig::defaultStages(c.nodes);
+    shape.rows = 1u << (2 * (shape.stages - 1));
     c.plan = randomPlan(frng, shape);
 
     c.reliability = opts.reliability;

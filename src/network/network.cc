@@ -6,7 +6,7 @@ namespace cenju
 {
 
 Network::Network(EventQueue &eq, const NetConfig &cfg)
-    : _eq(eq), _cfg(cfg), _topo(cfg.numNodes, cfg.stages),
+    : _eq(eq), _cfg(cfg), _topo(cfg.numNodes),
       _injectors(cfg.numNodes), _endpoints(cfg.numNodes, nullptr),
       _combineParked(cfg.numNodes)
 {
@@ -33,7 +33,7 @@ Network::Network(EventQueue &eq, const NetConfig &cfg)
                 down.onInputSpace(dport, [&up, p] {
                     // Wake the upstream output so a head blocked on
                     // our full buffers is retried.
-                    up.unblockEject(p); // reuses the re-arb path
+                    up.scheduleArbitrate(p);
                 });
             }
         }
@@ -182,9 +182,8 @@ Network::descendReply(PacketPtr pkt, int stage)
     // The reply retraces the request's forward route in reverse;
     // every merge the surviving request performed was recorded at a
     // switch on that route, keyed by the absorbed packet's ticket.
-    auto hops = _topo.route(requester, pkt->src);
     unsigned s = static_cast<unsigned>(stage);
-    XbarSwitch &sw = switchAt(s, hops[s].row);
+    XbarSwitch &sw = switchAt(s, _topo.row(requester, pkt->src, s));
     std::vector<CombineTable::Record> recs;
     sw.combineTable().takeMatches(pkt->combineTicket, recs);
     Tick delay = _cfg.stageLatency +
@@ -253,14 +252,6 @@ Network::ejectDeliver(NodeId n, PacketPtr pkt)
 }
 
 void
-Network::registerEjectWaiter(NodeId n, XbarSwitch *sw, unsigned out)
-{
-    _ejectWaiters.emplace_back(sw, out);
-    // Tag the waiter with the node so deliveryRetry can find it.
-    _ejectWaiterNodes.push_back(n);
-}
-
-void
 Network::deliveryRetry(NodeId n)
 {
     while (!_combineParked[n].empty()) {
@@ -270,19 +261,9 @@ Network::deliveryRetry(NodeId n)
         _combineParked[n].pop_front();
         ejectDeliver(n, std::move(p));
     }
-    for (std::size_t i = 0; i < _ejectWaiters.size();) {
-        if (_ejectWaiterNodes[i] == n) {
-            auto [sw, out] = _ejectWaiters[i];
-            _ejectWaiters.erase(_ejectWaiters.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-            _ejectWaiterNodes.erase(
-                _ejectWaiterNodes.begin() +
-                static_cast<std::ptrdiff_t>(i));
-            sw->unblockEject(out);
-        } else {
-            ++i;
-        }
-    }
+    // Exactly one final-stage output ejects to n (Topology::ejectNode).
+    switchAt(_topo.stages() - 1, n / switchRadix)
+        .unblockEject(n % switchRadix);
 }
 
 } // namespace cenju

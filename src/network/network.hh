@@ -121,9 +121,6 @@ class Network final : public Transport, public NetStats
     /** Final-stage delivery of a reserved packet to endpoint @p n. */
     void ejectDeliver(NodeId n, PacketPtr pkt);
 
-    /** Remember a final-stage output blocked on endpoint @p n. */
-    void registerEjectWaiter(NodeId n, XbarSwitch *sw, unsigned out);
-
     /** Switch at (stage, row) — exposed for tests. */
     XbarSwitch &
     switchAt(unsigned stage, unsigned row)
@@ -166,8 +163,6 @@ class Network final : public Transport, public NetStats
     std::vector<std::unique_ptr<XbarSwitch>> _switches;
     std::vector<Injector> _injectors;
     std::vector<Endpoint *> _endpoints;
-    std::vector<std::pair<XbarSwitch *, unsigned>> _ejectWaiters;
-    std::vector<NodeId> _ejectWaiterNodes;
 
     /** Combined replies refused at the endpoint, per node. */
     std::vector<std::deque<PacketPtr>> _combineParked;

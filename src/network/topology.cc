@@ -5,27 +5,11 @@
 namespace cenju
 {
 
-unsigned
-Topology::defaultStages(unsigned num_nodes)
-{
-    // The stage rule is fabric geometry every backend shares; it
-    // lives with NetConfig behind the seam (transport/net_config.hh).
-    return NetConfig::defaultStages(num_nodes);
-}
-
-Topology::Topology(unsigned num_nodes, unsigned stages)
+Topology::Topology(unsigned num_nodes)
     : _numNodes(num_nodes),
-      _stages(stages ? stages : defaultStages(num_nodes))
-{
-    _channels = 1;
-    for (unsigned s = 0; s < _stages; ++s)
-        _channels *= switchRadix;
-    if (_channels < _numNodes) {
-        fatal("%u stages address only %u endpoints (< %u nodes)",
-              _stages, _channels, _numNodes);
-    }
-    buildReach();
-}
+      _stages(NetConfig::defaultStages(num_nodes)),
+      _channels(1u << (2 * _stages))
+{}
 
 std::pair<unsigned, unsigned>
 Topology::injectPoint(NodeId n) const
@@ -41,64 +25,6 @@ Topology::link(unsigned stage, unsigned row, unsigned port) const
         panic("link() called on the final stage");
     unsigned c = shuffle(row * switchRadix + port);
     return {c / switchRadix, c % switchRadix};
-}
-
-std::vector<RouteHop>
-Topology::route(NodeId src, NodeId dst) const
-{
-    std::vector<RouteHop> hops;
-    hops.reserve(_stages);
-    unsigned c = static_cast<unsigned>(src);
-    for (unsigned s = 0; s < _stages; ++s) {
-        c = shuffle(c);
-        RouteHop hop;
-        hop.stage = s;
-        hop.row = c / switchRadix;
-        hop.inPort = c % switchRadix;
-        hop.outPort = routeDigit(dst, s);
-        hops.push_back(hop);
-        c = hop.row * switchRadix + hop.outPort;
-    }
-    if (c != dst)
-        panic("route(%u,%u) ended at channel %u", src, dst, c);
-    return hops;
-}
-
-void
-Topology::buildReach()
-{
-    unsigned rows = rowsPerStage();
-    _reach.assign(static_cast<std::size_t>(_stages) * rows *
-                      switchRadix,
-                  NodeSet(_channels));
-
-    // Final stage: each output port ejects exactly one endpoint.
-    for (unsigned row = 0; row < rows; ++row) {
-        for (unsigned p = 0; p < switchRadix; ++p) {
-            NodeId n = ejectNode(row, p);
-            if (n < _numNodes)
-                _reach[portIndex(_stages - 1, row, p)].insert(n);
-        }
-    }
-
-    // Earlier stages: a port reaches everything its downstream
-    // switch reaches through any of that switch's outputs.
-    for (int s = static_cast<int>(_stages) - 2; s >= 0; --s) {
-        for (unsigned row = 0; row < rows; ++row) {
-            for (unsigned p = 0; p < switchRadix; ++p) {
-                auto [nrow, nport] =
-                    link(static_cast<unsigned>(s), row, p);
-                (void)nport;
-                NodeSet &out =
-                    _reach[portIndex(static_cast<unsigned>(s), row,
-                                     p)];
-                for (unsigned q = 0; q < switchRadix; ++q) {
-                    out |= _reach[portIndex(
-                        static_cast<unsigned>(s) + 1, nrow, q)];
-                }
-            }
-        }
-    }
 }
 
 } // namespace cenju

@@ -1,7 +1,7 @@
 /**
  * @file
  * Radix-4 omega (multistage shuffle-exchange) topology: wiring,
- * destination-tag routing, and per-port reachability sets.
+ * destination-tag routing, and per-port reachable id ranges.
  *
  * Cenju-4's network is built from 4x4 crossbar switches and changes
  * its stage count with the system size: 2 stages up to 16 nodes, 4
@@ -14,47 +14,40 @@
  *    stage;
  *  - the switch replaces the low digit of the channel address with
  *    the chosen output port.
- * Routing to destination d therefore picks output port = digit
- * (S-1-s) of d at stage s, and each (source, destination) pair has
- * exactly one path — giving the in-order delivery the coherence
- * protocol relies on.
+ * Routing to destination d therefore picks output port = digit s of
+ * d at stage s, and each (source, destination) pair has exactly one
+ * path — giving the in-order delivery the coherence protocol relies
+ * on. Every hop of that path is a closed form of (src, dst, s):
+ *  - the row crossed at stage s is src's low S-1-s digits followed
+ *    by dst's high s digits;
+ *  - the input port at stage s is src's digit s;
+ *  - output p of switch (s, r) reaches the ids whose high s digits
+ *    are r's low s digits and whose digit s is p: one contiguous
+ *    range of 4^(S-1-s) ids starting at
+ *    ((r mod 4^s) * 4 + p) * 4^(S-1-s), clipped to the node count.
  */
 
 #ifndef CENJU_NETWORK_TOPOLOGY_HH
 #define CENJU_NETWORK_TOPOLOGY_HH
 
-#include <cstdint>
-#include <vector>
+#include <algorithm>
+#include <utility>
 
-#include "directory/node_set.hh"
 #include "sim/types.hh"
 #include "transport/net_config.hh"
 
 namespace cenju
 {
 
-/** One hop of a route: which switch, entering and leaving where. */
-struct RouteHop
-{
-    unsigned stage;
-    unsigned row;     ///< switch index within the stage
-    unsigned inPort;  ///< input port (0..3)
-    unsigned outPort; ///< output port (0..3)
-};
-
 /** Static structure of one omega network instance. */
 class Topology
 {
   public:
     /**
-     * @param num_nodes real endpoints (1 .. 1024)
-     * @param stages switch stages; 0 = derive from num_nodes using
-     *        the Cenju-4 rule (ceil(log4), rounded up to even)
+     * @param num_nodes real endpoints (1 .. 1024); the stage count
+     *        follows the Cenju-4 rule (NetConfig::defaultStages)
      */
-    explicit Topology(unsigned num_nodes, unsigned stages = 0);
-
-    /** Cenju-4 stage-count rule: 16->2, 128->4, 1024->6. */
-    static unsigned defaultStages(unsigned num_nodes);
+    explicit Topology(unsigned num_nodes);
 
     unsigned numNodes() const { return _numNodes; }
     unsigned stages() const { return _stages; }
@@ -83,25 +76,40 @@ class Topology
         return static_cast<NodeId>(row * switchRadix + port);
     }
 
-    /** Output port digit for destination @p dst at @p stage. */
+    /**
+     * Digit @p stage of @p id: the output port toward destination
+     * @p id at @p stage, and the input port a path from source @p id
+     * enters @p stage on.
+     */
     unsigned
-    routeDigit(NodeId dst, unsigned stage) const
+    routeDigit(NodeId id, unsigned stage) const
     {
         unsigned shift = 2 * (_stages - 1 - stage);
-        return (dst >> shift) & 0x3;
+        return (id >> shift) & 0x3;
     }
 
-    /** Full unique route from @p src to @p dst. */
-    std::vector<RouteHop> route(NodeId src, NodeId dst) const;
+    /** Switch row the path @p src -> @p dst crosses at @p stage. */
+    unsigned
+    row(NodeId src, NodeId dst, unsigned stage) const
+    {
+        unsigned srcBits = 2 * (_stages - 1 - stage);
+        return ((src & ((1u << srcBits) - 1)) << (2 * stage)) |
+               (dst >> (2 * (_stages - stage)));
+    }
 
     /**
-     * Endpoints reachable from output @p port of switch
-     * (@p stage, @p row), restricted to real nodes. Precomputed.
+     * Real nodes reachable from output @p port of switch
+     * (@p stage, @p row): the half-open id range [first, second),
+     * empty when the port leads only to unused endpoints.
      */
-    const NodeSet &
-    reach(unsigned stage, unsigned row, unsigned port) const
+    std::pair<NodeId, NodeId>
+    reachRange(unsigned stage, unsigned row, unsigned port) const
     {
-        return _reach[portIndex(stage, row, port)];
+        unsigned span = 1u << (2 * (_stages - 1 - stage));
+        unsigned prefix = row & ((1u << (2 * stage)) - 1);
+        unsigned first = (prefix * switchRadix + port) * span;
+        return {std::min(first, _numNodes),
+                std::min(first + span, _numNodes)};
     }
 
     /** 4-way perfect shuffle: left-rotate the S base-4 digits. */
@@ -113,18 +121,9 @@ class Topology
     }
 
   private:
-    unsigned
-    portIndex(unsigned stage, unsigned row, unsigned port) const
-    {
-        return (stage * rowsPerStage() + row) * switchRadix + port;
-    }
-
-    void buildReach();
-
     unsigned _numNodes;
     unsigned _stages;
     unsigned _channels;
-    std::vector<NodeSet> _reach;
 };
 
 } // namespace cenju

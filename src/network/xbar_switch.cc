@@ -1,5 +1,7 @@
 #include "network/xbar_switch.hh"
 
+#include <bit>
+
 #include "network/network.hh"
 
 namespace cenju
@@ -14,24 +16,23 @@ XbarSwitch::XbarSwitch(EventQueue &eq, Network &net,
       _combine(cfg.combineTableEntries)
 {}
 
-std::vector<unsigned>
+std::uint8_t
 XbarSwitch::targetPorts(const Packet &pkt) const
 {
-    std::vector<unsigned> ports;
-    if (pkt.dest.kind() == DestSpec::Kind::Unicast) {
-        ports.push_back(_topo.routeDigit(pkt.dest.unicastDest(),
-                                         _stage));
-        return ports;
-    }
-    // Multicast: cover every output port whose reachable set
-    // intersects the decoded destination set (the in-switch
+    if (pkt.dest.kind() == DestSpec::Kind::Unicast)
+        return std::uint8_t(
+            1u << _topo.routeDigit(pkt.dest.unicastDest(), _stage));
+    // Multicast: cover every output port whose reachable range holds
+    // a member of the decoded destination set (the in-switch
     // calculation of paper Figure 5a).
     const NodeSet &dests = _net.decodedDest(pkt);
+    std::uint8_t outs = 0;
     for (unsigned p = 0; p < switchRadix; ++p) {
-        if (_topo.reach(_stage, _row, p).intersects(dests))
-            ports.push_back(p);
+        auto [first, end] = _topo.reachRange(_stage, _row, p);
+        if (dests.intersectsRange(first, end))
+            outs |= std::uint8_t(1u << p);
     }
-    return ports;
+    return outs;
 }
 
 std::uint8_t
@@ -46,10 +47,8 @@ XbarSwitch::gatherWaitPattern(const Packet &pkt) const
     NodeId home = pkt.dest.unicastDest();
     std::uint8_t pattern = 0;
     pkt.gatherGroup->forEach([&](NodeId v) {
-        auto hops = _topo.route(v, home);
-        const RouteHop &h = hops[_stage];
-        if (h.row == _row)
-            pattern |= std::uint8_t(1u << h.inPort);
+        if (_topo.row(v, home, _stage) == _row)
+            pattern |= std::uint8_t(1u << _topo.routeDigit(v, _stage));
     });
     return pattern;
 }
@@ -65,14 +64,14 @@ XbarSwitch::occupancyTime(const Packet &pkt) const
 bool
 XbarSwitch::reserve(unsigned in_port, const Packet &pkt)
 {
-    std::vector<unsigned> outs = targetPorts(pkt);
-    if (outs.empty())
+    std::uint8_t outs = targetPorts(pkt);
+    if (!outs)
         panic("packet with no target ports at stage %u", _stage);
     unsigned cap = _cfg.xbCapacity;
     if (auto *h = _net.faultHook())
         cap = h->xbCapacity(_stage, _row, cap);
-    for (unsigned o : outs) {
-        if (_xb[in_port][o].used() >= cap)
+    for (unsigned m = outs; m; m &= m - 1) {
+        if (_xb[in_port][std::countr_zero(m)].used() >= cap)
             return false;
     }
     if (pkt.gathered && !_gather.canReserve(pkt.gatherId)) {
@@ -85,8 +84,8 @@ XbarSwitch::reserve(unsigned in_port, const Packet &pkt)
         ++_gatherBlockCount;
         return false;
     }
-    for (unsigned o : outs)
-        ++_xb[in_port][o].reserved;
+    for (unsigned m = outs; m; m &= m - 1)
+        ++_xb[in_port][std::countr_zero(m)].reserved;
     if (pkt.gathered)
         _gather.reserveArrival(pkt.gatherId);
     return true;
@@ -95,11 +94,12 @@ XbarSwitch::reserve(unsigned in_port, const Packet &pkt)
 void
 XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
 {
-    std::vector<unsigned> outs = targetPorts(*pkt);
+    std::uint8_t outs = targetPorts(*pkt);
 
     if (pkt->gathered) {
-        if (outs.size() != 1)
-            panic("gathered packet with %zu targets", outs.size());
+        if (!std::has_single_bit(outs))
+            panic("gathered packet with port mask %#x",
+                  unsigned(outs));
         std::uint8_t pattern = gatherWaitPattern(*pkt);
         std::uint16_t gid = pkt->gatherId;
         auto res = _gather.absorb(gid, in_port, pattern);
@@ -110,7 +110,7 @@ XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
         }
         ++_net.gatherForwarded;
         // Forward the last reply after the merge overhead.
-        unsigned out = outs[0];
+        unsigned out = std::countr_zero(outs);
         _eq.scheduleAfter(_cfg.gatherMergeLatency,
                           [this, in_port, out,
                            p = std::move(pkt)]() mutable {
@@ -130,22 +130,25 @@ XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
     // In-network combining (ROADMAP item 4): a combinable request
     // arriving while a same-key request is still queued for the
     // same output folds into it and dies here.
-    if (pkt->combinable && !pkt->combinedReply && outs.size() == 1 &&
-        tryCombine(in_port, outs[0], pkt)) {
+    if (pkt->combinable && !pkt->combinedReply &&
+        std::has_single_bit(outs) && tryCombine(in_port, outs, pkt)) {
         return; // merged away
     }
 
     // Multicast replication: clone into each covered output's
-    // crosspoint buffer; the original moves into the last one.
-    for (std::size_t k = 0; k + 1 < outs.size(); ++k) {
+    // crosspoint buffer in ascending port order; the original moves
+    // into the highest one.
+    unsigned last = std::bit_width(outs) - 1u;
+    for (unsigned m = outs & ~(1u << last); m; m &= m - 1) {
         ++_net.multicastCopies;
-        enqueue(in_port, outs[k], pkt->clone());
+        enqueue(in_port, std::countr_zero(m), pkt->clone());
     }
-    enqueue(in_port, outs.back(), std::move(pkt));
+    enqueue(in_port, last, std::move(pkt));
 }
 
 bool
-XbarSwitch::tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt)
+XbarSwitch::tryCombine(unsigned in_port, std::uint8_t outs,
+                       PacketPtr &pkt)
 {
     // The queued packet is the representative: it is ahead in the
     // buffer and reaches the home first, which realizes the
@@ -153,6 +156,7 @@ XbarSwitch::tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt)
     // algebra assumes (transport/combine.hh). The ALU fold fits in
     // the stage's header time, so no extra latency is charged; only
     // the reply descent pays gatherMergeLatency per decombine.
+    unsigned out = std::countr_zero(outs);
     for (unsigned in = 0; in < switchRadix; ++in) {
         for (PacketPtr &q : _xb[in][out].q) {
             if (!q->combinable || q->combinedReply ||
@@ -179,7 +183,6 @@ XbarSwitch::tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt)
             q->combineOperand = combineApply(
                 q->combineOp, q->combineOperand, pkt->combineOperand);
             ++_net.combineMerged;
-            std::vector<unsigned> outs{out};
             pkt.reset();
             releaseReservation(in_port, outs);
             return true;
@@ -200,10 +203,10 @@ XbarSwitch::enqueue(unsigned in, unsigned out, PacketPtr pkt)
 }
 
 void
-XbarSwitch::releaseReservation(unsigned in,
-                               const std::vector<unsigned> &outs)
+XbarSwitch::releaseReservation(unsigned in, std::uint8_t outs)
 {
-    for (unsigned o : outs) {
+    for (unsigned m = outs; m; m &= m - 1) {
+        unsigned o = std::countr_zero(m);
         Fifo &f = _xb[in][o];
         if (f.reserved == 0)
             panic("release without reservation (%u,%u)", in, o);
@@ -253,9 +256,8 @@ XbarSwitch::arbitrate(unsigned out)
             if (!_net.ejectReserve(node, head)) {
                 // All traffic on this output targets the same
                 // endpoint, so the whole port blocks until the
-                // endpoint frees space.
+                // endpoint frees space (Network::deliveryRetry).
                 _blockedEject[out] = true;
-                _net.registerEjectWaiter(node, this, out);
                 return;
             }
             PacketPtr pkt = std::move(f.q.front());
@@ -305,6 +307,8 @@ XbarSwitch::arbitrate(unsigned out)
 void
 XbarSwitch::unblockEject(unsigned out)
 {
+    if (!_blockedEject[out])
+        return;
     _blockedEject[out] = false;
     scheduleArbitrate(out);
 }

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <deque>
-#include <vector>
 
 #include "network/gather_table.hh"
 #include "network/topology.hh"
@@ -83,7 +82,13 @@ class XbarSwitch
         _downPort[out_port] = their_in_port;
     }
 
-    /** Re-run arbitration for @p out_port (used on eject retry). */
+    /** Re-run arbitration for @p out_port (coalesced, zero delay). */
+    void scheduleArbitrate(unsigned out_port);
+
+    /**
+     * Endpoint space freed behind final-stage output @p out_port:
+     * re-arbitrate it if it is blocked on ejection.
+     */
     void unblockEject(unsigned out_port);
 
     /**
@@ -93,8 +98,11 @@ class XbarSwitch
      */
     void faultKick();
 
-    /** Output ports a packet entering this switch must cover. */
-    std::vector<unsigned> targetPorts(const Packet &pkt) const;
+    /**
+     * Output ports a packet entering this switch must cover, as a
+     * mask (bit p = output port p).
+     */
+    std::uint8_t targetPorts(const Packet &pkt) const;
 
     /** Gather wait pattern for @p pkt at this switch. */
     std::uint8_t gatherWaitPattern(const Packet &pkt) const;
@@ -133,17 +141,17 @@ class XbarSwitch
 
     /**
      * Try to merge a just-arrived combinable request into a
-     * same-key request co-queued for @p out (ROADMAP item 4).
+     * same-key request co-queued for its one output @p outs
+     * (ROADMAP item 4).
      * @retval true if @p pkt was absorbed (reservation released,
      * packet destroyed, combining record stored)
      */
-    bool tryCombine(unsigned in_port, unsigned out, PacketPtr &pkt);
+    bool tryCombine(unsigned in_port, std::uint8_t outs,
+                    PacketPtr &pkt);
 
     void arbitrate(unsigned out);
-    void scheduleArbitrate(unsigned out);
     void enqueue(unsigned in, unsigned out, PacketPtr pkt);
-    void releaseReservation(unsigned in,
-                            const std::vector<unsigned> &outs);
+    void releaseReservation(unsigned in, std::uint8_t outs);
     void inputSpaceFreed(unsigned in);
     Tick occupancyTime(const Packet &pkt) const;
 

@@ -28,9 +28,6 @@ struct NetConfig
     /** Real endpoints. */
     unsigned numNodes = 16;
 
-    /** Switch stages; 0 derives the Cenju-4 default from numNodes. */
-    unsigned stages = 0;
-
     /** Capacity of each crosspoint buffer, in packets. */
     unsigned xbCapacity = 8;
 
@@ -123,13 +120,6 @@ struct NetConfig
         if (s % 2)
             ++s;
         return s;
-    }
-
-    /** Configured stage count, with 0 resolved to the default. */
-    unsigned
-    effectiveStages() const
-    {
-        return stages ? stages : defaultStages(numNodes);
     }
 };
 

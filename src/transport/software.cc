@@ -8,20 +8,19 @@ namespace cenju
 
 SoftwareTransport::SoftwareTransport(EventQueue &eq,
                                      const NetConfig &cfg,
-                                     bool software_fanout,
-                                     bool serialize_eject)
-    : _eq(eq), _cfg(cfg), _softwareFanout(software_fanout),
-      _serializeEject(serialize_eject),
+                                     bool software_collectives)
+    : _eq(eq), _cfg(cfg), _softwareCollectives(software_collectives),
       _injectors(cfg.numNodes), _ports(cfg.numNodes),
       _endpoints(cfg.numNodes, nullptr),
-      _combiners(software_fanout ? cfg.numNodes : 0)
+      _combiners(software_collectives ? cfg.numNodes : 0)
 {
     // Charge the multistage fabric's uncontended path so the two
     // fabrics agree exactly when there is no contention (the Table 2
     // unicast latencies): what remains is the contention + fanout
     // cost this backend removes or restructures.
     _pipeLatency = _cfg.injectLatency +
-                   static_cast<Tick>(_cfg.effectiveStages()) *
+                   static_cast<Tick>(
+                       NetConfig::defaultStages(_cfg.numNodes)) *
                        _cfg.stageLatency +
                    _cfg.ejectLatency;
 }
@@ -113,7 +112,8 @@ SoftwareTransport::tryInject(PacketPtr &&pkt)
     if (n >= _cfg.numNodes)
         panic("inject from bad node %u", n);
     Injector &inj = _injectors[n];
-    if (pkt->combinable && !pkt->combinedReply && _softwareFanout) {
+    if (pkt->combinable && !pkt->combinedReply &&
+        _softwareCollectives) {
         // Direct's software combining tree: the request enters the
         // origin's own combiner and climbs toward the home hop by
         // hop, merging with same-key requests along the way
@@ -129,7 +129,8 @@ SoftwareTransport::tryInject(PacketPtr &&pkt)
         swCombineAccept(n, std::move(pkt));
         return true;
     }
-    if (pkt->combinable && pkt->combinedReply && !_softwareFanout) {
+    if (pkt->combinable && pkt->combinedReply &&
+        !_softwareCollectives) {
         // Ideal's hardware combining primitive: the reply leaves
         // the home with no injector occupancy and fans out to every
         // merged requester at once.
@@ -170,7 +171,7 @@ SoftwareTransport::pumpInjector(NodeId n)
                 return;
             PacketPtr pkt = std::move(inj.q.front());
             inj.q.pop_front();
-            if (_softwareFanout &&
+            if (_softwareCollectives &&
                 pkt->dest.kind() != DestSpec::Kind::Unicast) {
                 // Sender-side multicast loop: one point-to-point
                 // packet per member, each paying its own port
@@ -215,7 +216,7 @@ SoftwareTransport::sendOne(Injector &inj, NodeId n, PacketPtr pkt)
     inj.busy = true;
     Tick occ = occupancyOf(*pkt);
 
-    if (!_softwareFanout &&
+    if (!_softwareCollectives &&
         pkt->dest.kind() != DestSpec::Kind::Unicast) {
         // Hardware multicast without contention: one injection, the
         // fabric replicates, all members receive simultaneously.
@@ -284,7 +285,7 @@ SoftwareTransport::arrive(NodeId dst, PacketPtr pkt)
 {
     DeliveryPort &port = _ports[dst];
     if (pkt->combinable) {
-        if (_softwareFanout) {
+        if (_softwareCollectives) {
             if (pkt->combinedReply) {
                 swReplyArrive(dst, std::move(pkt));
                 return;
@@ -353,7 +354,7 @@ SoftwareTransport::pumpDelivery(NodeId dst)
         if (_checkHook)
             _checkHook->onStep(check::StepKind::NetworkDeliver,
                                dst, 0);
-        if (_serializeEject) {
+        if (_softwareCollectives) {
             // Software reply counting is not free: the processor
             // handles arrivals one at a time.
             port.busy = true;

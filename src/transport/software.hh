@@ -84,7 +84,7 @@ class SoftwareTransport : public Transport
     CombineMode
     combineMode() const override
     {
-        return _softwareFanout ? CombineMode::SoftwareTree
+        return _softwareCollectives ? CombineMode::SoftwareTree
                                : CombineMode::Hardware;
     }
 
@@ -100,15 +100,17 @@ class SoftwareTransport : public Transport
 
   protected:
     /**
-     * @param software_fanout expand multicasts into serial unicasts
-     *        (DirectTransport) instead of delivering the whole set
-     *        from one injection (IdealTransport).
-     * @param serialize_eject charge per-packet software processing
+     * @param software_collectives do without the fabric's collective
+     *        hardware (DirectTransport): expand multicasts into
+     *        serial unicasts, charge per-packet software processing
      *        time at the destination port (reply counting in
-     *        software) instead of accepting back-to-back arrivals.
+     *        software) and combine atomics in sender-side software
+     *        trees. Otherwise (IdealTransport) one injection delivers
+     *        the whole set, arrivals land back to back and the home
+     *        combines in hardware.
      */
     SoftwareTransport(EventQueue &eq, const NetConfig &cfg,
-                      bool software_fanout, bool serialize_eject);
+                      bool software_collectives);
 
   private:
     /** In-progress software gather merge at one destination. */
@@ -257,8 +259,7 @@ class SoftwareTransport : public Transport
 
     EventQueue &_eq;
     NetConfig _cfg;
-    const bool _softwareFanout;
-    const bool _serializeEject;
+    const bool _softwareCollectives;
     Tick _pipeLatency;
     shard::Router *_router = nullptr;
 
@@ -278,8 +279,7 @@ class IdealTransport final : public SoftwareTransport
 {
   public:
     IdealTransport(EventQueue &eq, const NetConfig &cfg)
-        : SoftwareTransport(eq, cfg, /*software_fanout=*/false,
-                            /*serialize_eject=*/false)
+        : SoftwareTransport(eq, cfg, /*software_collectives=*/false)
     {}
 
     const char *name() const override { return "ideal"; }
@@ -295,8 +295,7 @@ class DirectTransport final : public SoftwareTransport
 {
   public:
     DirectTransport(EventQueue &eq, const NetConfig &cfg)
-        : SoftwareTransport(eq, cfg, /*software_fanout=*/true,
-                            /*serialize_eject=*/true)
+        : SoftwareTransport(eq, cfg, /*software_collectives=*/true)
     {}
 
     const char *name() const override { return "direct"; }

@@ -97,6 +97,49 @@ TEST(NodeSet, ForEachAscendingAndFirst)
     EXPECT_EQ(e.first(), invalidNode);
 }
 
+TEST(NodeSet, IntersectsRangeMatchesMemberScan)
+{
+    Rng rng(31);
+    for (unsigned cap : {1u, 10u, 63u, 64u, 65u, 100u, 128u, 1000u,
+                         1024u}) {
+        for (int trial = 0; trial < 50; ++trial) {
+            NodeSet s(cap);
+            // Sparse to dense, so hits and misses both occur.
+            unsigned members = unsigned(rng.below(1 + cap / 8));
+            for (unsigned k = 0; k < members; ++k)
+                s.insert(NodeId(rng.below(cap)));
+            // Random ranges (some running past the capacity), plus
+            // ranges ending on either side of each word boundary.
+            std::vector<std::pair<NodeId, NodeId>> ranges;
+            for (int k = 0; k < 40; ++k) {
+                ranges.push_back({NodeId(rng.below(cap + 70)),
+                                  NodeId(rng.below(cap + 70))});
+            }
+            for (NodeId b = 63; b < cap + 64; b += 64) {
+                ranges.push_back({b, b + 1});
+                ranges.push_back({b, b + 2});
+                ranges.push_back({b - 1, b + 66});
+                ranges.push_back({0, b});
+                ranges.push_back({b + 1, cap + 200});
+            }
+            for (auto [begin, end] : ranges) {
+                bool scan = false;
+                s.forEach([&](NodeId n) {
+                    scan = scan || (begin <= n && n < end);
+                });
+                EXPECT_EQ(s.intersectsRange(begin, end), scan)
+                    << "capacity " << cap << " range [" << begin
+                    << ", " << end << ")";
+            }
+        }
+    }
+}
+
+TEST(NodeSet, CapacityAboveMaxNodesDies)
+{
+    EXPECT_DEATH(NodeSet s(maxNodes + 1), "capacity");
+}
+
 // --- bit-pattern structure -----------------------------------------
 
 TEST(BitPattern, PaperFigure3Example)

@@ -104,8 +104,8 @@ describe(const Finding &f)
  */
 const std::multiset<Finding> kExpected = {
     {"src/memory/store.cc", 10, "D003"},
-    {"src/policy/bad_reach.cc", 4, "L001"},
-    {"src/policy/bad_reach.cc", 5, "L001"},
+    {"src/policy/bad_back_edge.cc", 4, "L001"},
+    {"src/policy/bad_back_edge.cc", 5, "L001"},
     {"src/protocol/bad_layering.cc", 4, "L001"},
     {"src/protocol/bad_layering.cc", 5, "L001"},
     {"src/sim/alloc_bad.hh", 17, "A001"},

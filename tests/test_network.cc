@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "network/network.hh"
@@ -94,10 +96,9 @@ makeUnicast(NodeId src, NodeId dst, int tag = 0,
 
 struct NetFixture
 {
-    explicit NetFixture(unsigned nodes, unsigned stages = 0)
+    explicit NetFixture(unsigned nodes)
     {
         cfg.numNodes = nodes;
-        cfg.stages = stages;
         net = std::make_unique<Network>(eq, cfg);
         for (NodeId n = 0; n < nodes; ++n) {
             eps.push_back(std::make_unique<RecordingEndpoint>(
@@ -128,10 +129,11 @@ TEST(Network, UnicastDeliversOnceWithCalibratedLatency)
 
 TEST(Network, LatencyScalesWithStages)
 {
-    for (auto [nodes, stages, expect] :
-         {std::tuple{16u, 2u, 540u}, std::tuple{128u, 4u, 800u},
-          std::tuple{1024u, 6u, 1060u}}) {
-        NetFixture f(nodes, stages);
+    // 2, 4 and 6 stages.
+    for (auto [nodes, expect] :
+         {std::pair{16u, 540u}, std::pair{128u, 800u},
+          std::pair{1024u, 1060u}}) {
+        NetFixture f(nodes);
         ASSERT_TRUE(f.net->tryInject(makeUnicast(1, nodes - 1)));
         f.eq.run();
         ASSERT_EQ(f.eps[nodes - 1]->arrivals.size(), 1u);
@@ -181,50 +183,73 @@ TEST(Network, InjectQueueBackpressure)
               static_cast<std::size_t>(accepted));
 }
 
+// The multicast tests also run on padded sizes (10, 100, 1000
+// nodes), where some switch outputs lead only to unused endpoints.
+
 TEST(Network, MulticastPointersDeliversExactly)
 {
-    NetFixture f(64);
-    auto p = std::make_unique<TestPacket>();
-    p->src = 0;
-    p->dest = DestSpec::pointers({5, 17, 33, 60});
-    ASSERT_TRUE(f.net->tryInject(std::move(p)));
-    f.eq.run();
-    for (NodeId n = 0; n < 64; ++n) {
-        bool target = n == 5 || n == 17 || n == 33 || n == 60;
-        EXPECT_EQ(f.eps[n]->arrivals.size(), target ? 1u : 0u)
-            << "node " << n;
+    for (auto [nodes, dests] :
+         {std::pair{64u, std::vector<NodeId>{5, 17, 33, 60}},
+          std::pair{10u, std::vector<NodeId>{1, 5, 9}},
+          std::pair{100u, std::vector<NodeId>{5, 33, 64, 99}},
+          std::pair{1000u, std::vector<NodeId>{5, 260, 768, 999}}}) {
+        SCOPED_TRACE(nodes);
+        NetFixture f(nodes);
+        auto p = std::make_unique<TestPacket>();
+        p->src = 0;
+        p->dest = DestSpec::pointers(dests);
+        ASSERT_TRUE(f.net->tryInject(std::move(p)));
+        f.eq.run();
+        for (NodeId n = 0; n < nodes; ++n) {
+            bool target =
+                std::find(dests.begin(), dests.end(), n) != dests.end();
+            EXPECT_EQ(f.eps[n]->arrivals.size(), target ? 1u : 0u)
+                << "node " << n;
+        }
     }
 }
 
 TEST(Network, MulticastPatternDeliversDecodedSet)
 {
-    NetFixture f(128);
-    BitPattern pat;
-    for (NodeId n : {3u, 64u, 67u, 100u})
-        pat.add(n);
-    NodeSet expect = pat.decode(128);
-    auto p = std::make_unique<TestPacket>();
-    p->src = 9;
-    p->dest = DestSpec::pattern(pat);
-    ASSERT_TRUE(f.net->tryInject(std::move(p)));
-    f.eq.run();
-    for (NodeId n = 0; n < 128; ++n) {
-        EXPECT_EQ(f.eps[n]->arrivals.size(),
-                  expect.contains(n) ? 1u : 0u)
-            << "node " << n;
+    for (auto [nodes, members] :
+         {std::pair{128u, std::vector<NodeId>{3, 64, 67, 100}},
+          std::pair{10u, std::vector<NodeId>{3, 7}},
+          std::pair{100u, std::vector<NodeId>{3, 64, 67, 99}},
+          std::pair{1000u, std::vector<NodeId>{3, 64, 67, 100, 900}}}) {
+        SCOPED_TRACE(nodes);
+        NetFixture f(nodes);
+        BitPattern pat;
+        for (NodeId n : members)
+            pat.add(n);
+        NodeSet expect = pat.decode(nodes);
+        auto p = std::make_unique<TestPacket>();
+        p->src = 9;
+        p->dest = DestSpec::pattern(pat);
+        ASSERT_TRUE(f.net->tryInject(std::move(p)));
+        f.eq.run();
+        for (NodeId n = 0; n < nodes; ++n) {
+            EXPECT_EQ(f.eps[n]->arrivals.size(),
+                      expect.contains(n) ? 1u : 0u)
+                << "node " << n;
+        }
     }
 }
 
 TEST(Network, MulticastToSingleNodeBehavesAsUnicast)
 {
-    NetFixture f(16);
-    auto p = std::make_unique<TestPacket>();
-    p->src = 2;
-    p->dest = DestSpec::pointers({11});
-    ASSERT_TRUE(f.net->tryInject(std::move(p)));
-    f.eq.run();
-    EXPECT_EQ(f.eps[11]->arrivals.size(), 1u);
-    EXPECT_EQ(f.net->multicastCopies.value(), 0u);
+    for (auto [nodes, dst] :
+         {std::pair{16u, 11u}, std::pair{10u, 9u},
+          std::pair{100u, 99u}, std::pair{1000u, 999u}}) {
+        SCOPED_TRACE(nodes);
+        NetFixture f(nodes);
+        auto p = std::make_unique<TestPacket>();
+        p->src = 2;
+        p->dest = DestSpec::pointers({dst});
+        ASSERT_TRUE(f.net->tryInject(std::move(p)));
+        f.eq.run();
+        EXPECT_EQ(f.eps[dst]->arrivals.size(), 1u);
+        EXPECT_EQ(f.net->multicastCopies.value(), 0u);
+    }
 }
 
 class NetworkGather : public ::testing::TestWithParam<unsigned>
@@ -273,7 +298,8 @@ TEST_P(NetworkGather, CollapsesToExactlyOneReply)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, NetworkGather,
-                         ::testing::Values(16u, 64u, 128u, 256u));
+                         ::testing::Values(16u, 64u, 128u, 256u, 10u,
+                                           100u, 1000u));
 
 TEST(Network, GatherStress)
 {

@@ -1,15 +1,17 @@
 /**
  * @file
- * Tests for the omega topology: stage-count rule, routing validity
- * and uniqueness, wiring consistency, reachability sets.
+ * Tests for the omega topology: stage-count rule, wiring, and the
+ * closed-form hops and reach ranges checked against a reference walk
+ * through the physical wiring.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <tuple>
+#include <vector>
 
+#include "directory/node_set.hh"
 #include "network/topology.hh"
-#include "sim/rng.hh"
 
 namespace cenju
 {
@@ -18,20 +20,20 @@ namespace
 
 TEST(Topology, DefaultStagesMatchesPaperTable2)
 {
-    EXPECT_EQ(Topology::defaultStages(16), 2u);
-    EXPECT_EQ(Topology::defaultStages(128), 4u);
-    EXPECT_EQ(Topology::defaultStages(1024), 6u);
+    EXPECT_EQ(NetConfig::defaultStages(16), 2u);
+    EXPECT_EQ(NetConfig::defaultStages(128), 4u);
+    EXPECT_EQ(NetConfig::defaultStages(1024), 6u);
 }
 
 TEST(Topology, DefaultStagesOtherSizes)
 {
-    EXPECT_EQ(Topology::defaultStages(1), 1u);
-    EXPECT_EQ(Topology::defaultStages(4), 1u);
-    EXPECT_EQ(Topology::defaultStages(5), 2u);
-    EXPECT_EQ(Topology::defaultStages(17), 4u);  // ceil(log4)=3 -> 4
-    EXPECT_EQ(Topology::defaultStages(64), 4u);  // 3 -> 4
-    EXPECT_EQ(Topology::defaultStages(256), 4u);
-    EXPECT_EQ(Topology::defaultStages(257), 6u); // 5 -> 6
+    EXPECT_EQ(NetConfig::defaultStages(1), 1u);
+    EXPECT_EQ(NetConfig::defaultStages(4), 1u);
+    EXPECT_EQ(NetConfig::defaultStages(5), 2u);
+    EXPECT_EQ(NetConfig::defaultStages(17), 4u);  // ceil(log4)=3 -> 4
+    EXPECT_EQ(NetConfig::defaultStages(64), 4u);  // 3 -> 4
+    EXPECT_EQ(NetConfig::defaultStages(256), 4u);
+    EXPECT_EQ(NetConfig::defaultStages(257), 6u); // 5 -> 6
 }
 
 TEST(Topology, ChannelsCoverNodes)
@@ -43,88 +45,106 @@ TEST(Topology, ChannelsCoverNodes)
     }
 }
 
+/**
+ * Reference walk from channel @p src toward @p dst through the
+ * physical wiring: enter at injectPoint(), leave every stage on
+ * routeDigit()'s output, follow link() to the next stage. Calls
+ * @p hop(stage, row, in_port, out_port) at every stage and returns
+ * the node the final stage ejects to.
+ */
+template <typename Fn>
+NodeId
+walk(const Topology &t, unsigned src, NodeId dst, Fn &&hop)
+{
+    auto [row, in] = t.injectPoint(src);
+    for (unsigned s = 0;; ++s) {
+        unsigned out = t.routeDigit(dst, s);
+        hop(s, row, in, out);
+        if (s + 1 == t.stages())
+            return t.ejectNode(row, out);
+        std::tie(row, in) = t.link(s, row, out);
+    }
+}
+
 class TopologyRouting : public ::testing::TestWithParam<unsigned>
 {};
 
 TEST_P(TopologyRouting, RoutesAreWellFormed)
 {
+    // Every pair: the walk ends at the destination, and at every
+    // stage it crosses the closed-form row on the closed-form input
+    // port.
     unsigned n = GetParam();
     Topology t(n);
-    Rng rng(n);
-    for (int trial = 0; trial < 500; ++trial) {
-        NodeId src = static_cast<NodeId>(rng.below(n));
-        NodeId dst = static_cast<NodeId>(rng.below(n));
-        // route() internally panics if it does not land on dst.
-        auto hops = t.route(src, dst);
-        ASSERT_EQ(hops.size(), t.stages());
-
-        // First hop matches the injection point.
-        auto [row0, port0] = t.injectPoint(src);
-        EXPECT_EQ(hops[0].row, row0);
-        EXPECT_EQ(hops[0].inPort, port0);
-
-        // Consecutive hops follow the physical wiring.
-        for (unsigned s = 0; s + 1 < t.stages(); ++s) {
-            auto [nrow, nport] =
-                t.link(s, hops[s].row, hops[s].outPort);
-            EXPECT_EQ(hops[s + 1].row, nrow);
-            EXPECT_EQ(hops[s + 1].inPort, nport);
-        }
-
-        // Final hop ejects at the destination.
-        const RouteHop &last = hops.back();
-        EXPECT_EQ(t.ejectNode(last.row, last.outPort), dst);
-
-        // The output port at each stage is the destination digit.
-        for (unsigned s = 0; s < t.stages(); ++s)
-            EXPECT_EQ(hops[s].outPort, t.routeDigit(dst, s));
-    }
-}
-
-TEST_P(TopologyRouting, PathsAreDeterministic)
-{
-    unsigned n = GetParam();
-    Topology t(n);
-    auto a = t.route(0, n - 1);
-    auto b = t.route(0, n - 1);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].row, b[i].row);
-        EXPECT_EQ(a[i].outPort, b[i].outPort);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, TopologyRouting,
-                         ::testing::Values(4u, 16u, 64u, 128u, 256u,
-                                           1024u));
-
-TEST(Topology, ReachMatchesBruteForce16)
-{
-    // Exhaustively: d is reachable from (stage,row,port) iff some
-    // route passes through that port toward d.
-    Topology t(16);
-    std::map<std::tuple<unsigned, unsigned, unsigned>, NodeSet>
-        truth;
-    for (unsigned s = 0; s < t.stages(); ++s) {
-        for (unsigned r = 0; r < t.rowsPerStage(); ++r) {
-            for (unsigned p = 0; p < switchRadix; ++p)
-                truth.emplace(std::make_tuple(s, r, p),
-                              NodeSet(t.channels()));
-        }
-    }
-    for (NodeId src = 0; src < 16; ++src) {
-        for (NodeId dst = 0; dst < 16; ++dst) {
-            for (const RouteHop &h : t.route(src, dst)) {
-                truth.at({h.stage, h.row, h.outPort}).insert(dst);
+    unsigned bad = 0;
+    for (NodeId src = 0; src < n; ++src) {
+        for (NodeId dst = 0; dst < n; ++dst) {
+            NodeId end = walk(t, src, dst,
+                              [&](unsigned s, unsigned row,
+                                  unsigned in, unsigned) {
+                                  if ((t.row(src, dst, s) != row ||
+                                       t.routeDigit(src, s) != in) &&
+                                      bad++ == 0) {
+                                      ADD_FAILURE()
+                                          << src << " -> " << dst
+                                          << " stage " << s
+                                          << ": walk row " << row
+                                          << " port " << in;
+                                  }
+                              });
+            if (end != dst && bad++ == 0) {
+                ADD_FAILURE() << src << " -> " << dst
+                              << " ejected at " << end;
             }
         }
     }
-    for (auto &[key, set] : truth) {
-        auto [s, r, p] = key;
-        EXPECT_TRUE(set == t.reach(s, r, p))
-            << "stage " << s << " row " << r << " port " << p;
-    }
+    EXPECT_EQ(bad, 0u);
 }
+
+TEST_P(TopologyRouting, ReachRangesMatchWalk)
+{
+    // Output p of switch (s, r) reaches exactly the real nodes some
+    // walk leaves through it. Walks start at every channel, unused
+    // endpoints included, so every port of every switch is covered.
+    unsigned n = GetParam();
+    Topology t(n);
+    unsigned rows = t.rowsPerStage();
+    std::vector<NodeSet> reached(
+        std::size_t(t.stages()) * rows * switchRadix, NodeSet(n));
+    for (unsigned src = 0; src < t.channels(); ++src) {
+        for (NodeId dst = 0; dst < n; ++dst) {
+            walk(t, src, dst,
+                 [&](unsigned s, unsigned row, unsigned, unsigned out) {
+                     reached[(s * rows + row) * switchRadix + out]
+                         .insert(dst);
+                 });
+        }
+    }
+    unsigned bad = 0;
+    for (unsigned s = 0; s < t.stages(); ++s) {
+        for (unsigned r = 0; r < rows; ++r) {
+            for (unsigned p = 0; p < switchRadix; ++p) {
+                auto [first, end] = t.reachRange(s, r, p);
+                const NodeSet &truth =
+                    reached[(s * rows + r) * switchRadix + p];
+                for (NodeId v = 0; v < n; ++v) {
+                    bool inRange = first <= v && v < end;
+                    if (truth.contains(v) != inRange && bad++ == 0) {
+                        ADD_FAILURE()
+                            << "stage " << s << " row " << r
+                            << " port " << p << " range [" << first
+                            << ", " << end << ") vs walk at " << v;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(bad, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, TopologyRouting,
+                         ::testing::Values(2u, 4u, 10u, 16u, 64u, 100u,
+                                           128u, 256u, 1024u));
 
 TEST(Topology, ReachRestrictedToRealNodes)
 {
@@ -132,8 +152,9 @@ TEST(Topology, ReachRestrictedToRealNodes)
     for (unsigned s = 0; s < t.stages(); ++s) {
         for (unsigned r = 0; r < t.rowsPerStage(); ++r) {
             for (unsigned p = 0; p < switchRadix; ++p) {
-                t.reach(s, r, p).forEach(
-                    [](NodeId n) { EXPECT_LT(n, 10u); });
+                auto [first, end] = t.reachRange(s, r, p);
+                EXPECT_LE(first, end);
+                EXPECT_LE(end, 10u);
             }
         }
     }
@@ -142,22 +163,29 @@ TEST(Topology, ReachRestrictedToRealNodes)
 TEST(Topology, Stage0ReachPartitionsAllNodes)
 {
     // The four output ports of any stage-0 switch on a route's path
-    // must jointly reach every node: the network is fully connected.
+    // must jointly reach every node, each exactly once: the network
+    // is fully connected.
     Topology t(64);
     auto [row, port] = t.injectPoint(13);
     (void)port;
-    NodeSet all(t.channels());
-    for (unsigned p = 0; p < switchRadix; ++p)
-        all |= t.reach(0, row, p);
+    NodeSet all(64);
+    unsigned total = 0;
+    for (unsigned p = 0; p < switchRadix; ++p) {
+        auto [first, end] = t.reachRange(0, row, p);
+        for (NodeId v = first; v < end; ++v)
+            all.insert(v);
+        total += end - first;
+    }
     EXPECT_EQ(all.count(), 64u);
+    EXPECT_EQ(total, 64u);
 }
 
 TEST(Topology, ShuffleIsDigitRotation)
 {
-    Topology t(64, 3); // 3 stages, 64 channels
-    // 64 channels, digits (d2 d1 d0): shuffle -> (d1 d0 d2).
-    unsigned c = (2u << 4) | (3u << 2) | 1u; // digits 2,3,1
-    unsigned expect = (3u << 4) | (1u << 2) | 2u; // digits 3,1,2
+    Topology t(64); // 4 stages, 256 channels
+    // Digits (d3 d2 d1 d0): shuffle -> (d2 d1 d0 d3).
+    unsigned c = (2u << 6) | (3u << 4) | (1u << 2) | 0u; // 2,3,1,0
+    unsigned expect = (3u << 6) | (1u << 4) | (0u << 2) | 2u; // 3,1,0,2
     EXPECT_EQ(t.shuffle(c), expect);
 }
 
@@ -165,12 +193,6 @@ TEST(Topology, OversizedSystemRejected)
 {
     EXPECT_EXIT(Topology t(2000), ::testing::ExitedWithCode(1),
                 "unsupported");
-}
-
-TEST(Topology, TooFewStagesRejected)
-{
-    EXPECT_EXIT(Topology t(64, 2), ::testing::ExitedWithCode(1),
-                "address only");
 }
 
 } // namespace

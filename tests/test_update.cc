@@ -123,12 +123,14 @@ TEST(UpdateProtocol, StoreLatencyIsOneGatherRound)
     // the same scalable shape as Figure 10's invalidation round —
     // independent of how many nodes cache the word. The growth
     // bound is a property of the fabric's in-network gathering, so
-    // pin the multistage backend (DirectTransport deliberately
+    // pin the bare multistage backend (DirectTransport deliberately
     // serializes the fanout and breaks it — that contrast is
-    // bench/fig10_store_latency's job to show).
+    // bench/fig10_store_latency's job to show — and the e2e
+    // decorator fans multicasts out into unicasts by design).
     auto storeLat = [](unsigned nodes) {
         SystemConfig cfg = cfgOf(nodes);
         cfg.transport = TransportKind::Multistage;
+        cfg.reliability = ReliabilityKind::Off;
         DsmSystem sys(cfg);
         PrivArray x = sys.shmAllocReplicated(8);
         Tick t = 0;
