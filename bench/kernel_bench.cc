@@ -757,8 +757,9 @@ main(int argc, char **argv)
     }
 
     // Derived rows, each only when both of its inputs ran. Shard
-    // scaling: 8-shard over sequential events/sec at 1024 nodes
-    // (bounded by the host's hardware threads; 1.0 means no
+    // scaling: 8-shard over sequential events/sec at 1024 nodes.
+    // Both runs execute the same events, so this is the wall-time
+    // speedup (bounded by the host's hardware threads; 1.0 means no
     // parallel win).
     addRatio(results, "stress_1024_speedup", "x_seq",
              "stress_1024_sh8", "stress_1024_seq");

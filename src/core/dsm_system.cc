@@ -13,11 +13,6 @@ DsmSystem::DsmSystem(const SystemConfig &cfg) : _cfg(cfg)
     NetConfig nc;
     nc.numNodes = cfg.numNodes;
     nc.xbCapacity = cfg.xbCapacity;
-    nc.stageLatency = cfg.proto.timing.networkStage;
-    nc.injectLatency = cfg.proto.timing.networkOverhead / 2;
-    nc.ejectLatency = cfg.proto.timing.networkOverhead -
-                      cfg.proto.timing.networkOverhead / 2;
-    nc.gatherMergeLatency = cfg.proto.timing.gatherMergeLatency;
     _net = makeTransport(cfg.transport, _eq, nc);
     if (cfg.reliability == ReliabilityKind::E2e) {
         // Decorate before anything attaches: nodes bind to the

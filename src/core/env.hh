@@ -307,7 +307,7 @@ class Env : public EnvStats
      * to memory and returns the pre-op value, and concurrent
      * requests to the same word may combine in flight (in the
      * switches, at a hardware station, or in per-node software
-     * trees, depending on the transport's CombineMode). Counted as
+     * trees, depending on the transport backend). Counted as
      * synchronization time, like barriers.
      */
     auto

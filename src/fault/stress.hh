@@ -136,13 +136,11 @@ constexpr std::uint64_t defaultEventBudget = 20000000;
  * above 1 runs the case on the sharded parallel engine; the digest,
  * step count and completion verdict are bit-identical to shards == 1
  * (the parallel-determinism test tier certifies this against the
- * committed goldens), with two documented differences: per-step
- * invariant checking is replaced by quiescent-only checking (so a
- * --bug mutation may go undetected mid-run), and on backends with
- * hardware multicast the event *count* can differ because one
- * fabric fanout becomes one arrival event per member. Backends
- * without a cross-shard latency floor (multistage) clamp back to
- * one shard.
+ * committed goldens), and so is the event count. One difference is
+ * documented: per-step invariant checking is replaced by
+ * quiescent-only checking (so a --bug mutation may go undetected
+ * mid-run). Backends without a cross-shard latency floor
+ * (multistage) clamp back to one shard.
  */
 StressResult runStressCase(const StressCase &c,
                            std::uint64_t eventBudget =

@@ -30,7 +30,7 @@
 #include "sim/hashing.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
-#include "transport/combine.hh"
+#include "transport/collectives.hh"
 
 namespace cenju
 {
@@ -175,7 +175,9 @@ class GatherTable
  *   absorbedValue = combineApply(op, replyBase, prefix)
  *
  * where prefix is the representative's accumulated operand captured
- * at merge time (see transport/combine.hh for the algebra).
+ * at merge time (transport/combine.hh has the algebra, and
+ * transport/collectives.hh the merge and decombine steps every
+ * backend shares).
  *
  * Records are keyed by the absorbed packet's ticket, which is
  * globally unique (a packet is absorbed at most once and ends its
@@ -201,68 +203,67 @@ class CombineTable
             panic("combine table needs at least one entry");
     }
 
-    struct Record
-    {
-        std::uint64_t key = 0;            ///< combinable address
-        std::uint64_t repTicket = 0;      ///< surviving request
-        std::uint64_t absorbedTicket = 0; ///< request merged away
-        NodeId absorbedSrc = invalidNode;
-        std::uint32_t absorbedCookie = 0;
-        std::uint64_t prefix = 0; ///< rep operand at merge time
-        CombineOp op = CombineOp::FetchAdd;
-        bool valid = false;
-    };
-
     /** May a merge keyed by @p absorbed_ticket record itself? */
     bool
     canRecord(std::uint64_t absorbed_ticket) const
     {
-        return _records.empty() ||
-               !_records[absorbed_ticket % size()].valid;
+        return _slots.empty() ||
+               !_slots[absorbed_ticket % size()].valid;
     }
 
     /** Store a merge record. @pre canRecord(r.absorbedTicket) */
     void
-    store(const Record &r)
+    store(const CombineRecord &r)
     {
-        if (_records.empty())
-            _records.resize(_entries);
-        Record &slot = _records[r.absorbedTicket % size()];
+        if (_slots.empty())
+            _slots.resize(_entries);
+        Slot &slot = _slots[r.absorbedTicket % size()];
         if (slot.valid)
             panic("combine table: slot %llu already occupied",
                   static_cast<unsigned long long>(
                       r.absorbedTicket % size()));
-        slot = r;
+        slot.record = r;
         slot.valid = true;
         _byRep[r.repTicket].push_back(
             unsigned(r.absorbedTicket % size()));
         ++_active;
     }
 
+    /** Live records whose representative is @p rep_ticket. */
+    unsigned
+    matches(std::uint64_t rep_ticket) const
+    {
+        auto it = _byRep.find(rep_ticket);
+        return it == _byRep.end() ? 0 : unsigned(it->second.size());
+    }
+
     /**
-     * Pop every record whose representative is @p rep_ticket into
-     * @p out, in merge order (a reply descending through this
-     * switch consumes the merges it answers). The rep-ticket index
-     * makes this O(matches): a hot-spot storm calls it once per
-     * reply per stage, and a table-proportional scan here dominated
-     * the 1024-node bench's host time.
+     * Remove every record whose representative is @p rep_ticket and
+     * hand it to @p fn, in merge order (a reply descending through
+     * this switch consumes the merges it answers). The rep-ticket
+     * index makes this O(matches): a hot-spot storm calls it once
+     * per reply per stage, and a table-proportional scan here
+     * dominated the 1024-node bench's host time.
      */
+    template <class Fn>
     void
-    takeMatches(std::uint64_t rep_ticket, std::vector<Record> &out)
+    take(std::uint64_t rep_ticket, Fn &&fn)
     {
         auto it = _byRep.find(rep_ticket);
         if (it == _byRep.end())
             return;
-        for (unsigned idx : it->second) {
-            Record &r = _records[idx];
-            if (!r.valid || r.repTicket != rep_ticket)
+        std::vector<unsigned> idxs = std::move(it->second);
+        _byRep.erase(it);
+        for (unsigned idx : idxs) {
+            Slot &slot = _slots[idx];
+            if (!slot.valid || slot.record.repTicket != rep_ticket)
                 panic("combine table: index out of sync at slot "
                       "%u", idx);
-            out.push_back(r);
-            r.valid = false;
+            slot.valid = false;
             --_active;
+            CombineRecord r = slot.record;
+            fn(r);
         }
-        _byRep.erase(it);
     }
 
     /** Records currently live (for tests / quiescence checks). */
@@ -271,9 +272,15 @@ class CombineTable
     unsigned size() const { return _entries; }
 
   private:
+    struct Slot
+    {
+        CombineRecord record;
+        bool valid = false;
+    };
+
     const unsigned _entries;
     /** Empty until the first store() (lazy materialization). */
-    std::vector<Record> _records;
+    std::vector<Slot> _slots;
     /** repTicket -> slots of its live records, in merge order. */
     std::unordered_map<std::uint64_t, std::vector<unsigned>,
                        U64MixHash>

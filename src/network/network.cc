@@ -65,7 +65,7 @@ Network::attach(NodeId n, Endpoint *ep)
 }
 
 unsigned
-Network::effectiveInjectCapacity(NodeId n) const
+Network::injectCapacity(NodeId n) const
 {
     unsigned cap = _cfg.injectQueueCapacity;
     if (_faultHook)
@@ -78,7 +78,7 @@ Network::faultInjectRetry(NodeId n)
 {
     Injector &inj = _injectors[n];
     if (inj.wasFull &&
-        inj.q.size() < effectiveInjectCapacity(n)) {
+        inj.q.size() < injectCapacity(n)) {
         inj.wasFull = false;
         if (_endpoints[n])
             _endpoints[n]->injectSpaceAvailable();
@@ -106,7 +106,7 @@ Network::tryInject(PacketPtr &&pkt)
         return true;
     }
     Injector &inj = _injectors[n];
-    if (inj.q.size() >= effectiveInjectCapacity(n)) {
+    if (inj.q.size() >= injectCapacity(n)) {
         inj.wasFull = true;
         return false;
     }
@@ -143,9 +143,7 @@ Network::pumpInjector(NodeId n)
     inj.q.pop_front();
     inj.busy = true;
 
-    Tick occ = _cfg.portOccupancyHeader +
-               static_cast<Tick>(pkt->sizeBytes *
-                                 _cfg.portOccupancyPerByte);
+    Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
     _eq.scheduleAfter(
         _cfg.injectLatency,
         [&sw0, port = inj.swPort, p = std::move(pkt)]() mutable {
@@ -158,7 +156,7 @@ Network::pumpInjector(NodeId n)
                           pumpInjector(n);
                           if (i2.wasFull &&
                               i2.q.size() <
-                                  effectiveInjectCapacity(n)) {
+                                  injectCapacity(n)) {
                               i2.wasFull = false;
                               if (_endpoints[n])
                                   _endpoints[n]
@@ -183,31 +181,21 @@ Network::descendReply(PacketPtr pkt, int stage)
     // every merge the surviving request performed was recorded at a
     // switch on that route, keyed by the absorbed packet's ticket.
     unsigned s = static_cast<unsigned>(stage);
-    XbarSwitch &sw = switchAt(s, _topo.row(requester, pkt->src, s));
-    std::vector<CombineTable::Record> recs;
-    sw.combineTable().takeMatches(pkt->combineTicket, recs);
+    CombineTable &table =
+        switchAt(s, _topo.row(requester, pkt->src, s)).combineTable();
     Tick delay = _cfg.stageLatency +
-                 _cfg.gatherMergeLatency * Tick(recs.size());
-    for (const CombineTable::Record &r : recs) {
-        // Reconstruct the absorbed requester's reply: base value as
-        // seen after the requests serialized ahead of it, i.e. the
-        // rep's prefix folded onto this reply's base.
-        PacketPtr sub = pkt->clone();
-        sub->dest = DestSpec::unicast(r.absorbedSrc);
-        sub->decodedDestValid = false;
-        sub->combineOperand =
-            combineApply(r.op, pkt->combineOperand, r.prefix);
-        sub->combineTicket = r.absorbedTicket;
-        sub->combineCookie = r.absorbedCookie;
+                 _cfg.gatherMergeLatency *
+                     Tick(table.matches(pkt->combineTicket));
+    table.take(pkt->combineTicket, [&](const CombineRecord &r) {
         ++combineDecombined;
         // The absorbed request joined this switch at stage s, so its
         // reply continues from stage s-1 along its own route.
         _eq.scheduleAfter(delay,
                           [this, stage,
-                           p = std::move(sub)]() mutable {
+                           p = decombine(*pkt, r)]() mutable {
                               descendReply(std::move(p), stage - 1);
                           });
-    }
+    });
     _eq.scheduleAfter(delay,
                       [this, stage, p = std::move(pkt)]() mutable {
                           descendReply(std::move(p), stage - 1);

@@ -59,7 +59,6 @@ class Network final : public Transport, public NetStats
     void deliveryRetry(NodeId n) override;
 
     const Topology &topology() const { return _topo; }
-    const NetConfig &config() const { return _cfg; }
     unsigned numNodes() const override { return _cfg.numNodes; }
     EventQueue &eventQueue() override { return _eq; }
 
@@ -73,13 +72,6 @@ class Network final : public Transport, public NetStats
      */
     Tick minCrossShardLatency() const override { return 0; }
 
-    /** Combinable atomics merge/decombine at the switches. */
-    CombineMode
-    combineMode() const override
-    {
-        return CombineMode::InFabric;
-    }
-
     NetStats netStats() const override { return *this; }
 
     /**
@@ -89,11 +81,7 @@ class Network final : public Transport, public NetStats
      */
     void faultInjectRetry(NodeId n) override;
 
-    unsigned
-    injectCapacity(NodeId n) const override
-    {
-        return effectiveInjectCapacity(n);
-    }
+    unsigned injectCapacity(NodeId n) const override;
 
     unsigned
     injectBacklog(NodeId n) const override
@@ -166,9 +154,6 @@ class Network final : public Transport, public NetStats
 
     /** Combined replies refused at the endpoint, per node. */
     std::vector<std::deque<PacketPtr>> _combineParked;
-
-    /** Injection-queue capacity with any active fault squeeze. */
-    unsigned effectiveInjectCapacity(NodeId n) const;
 
     std::uint64_t _nextPacketId = 1;
 };

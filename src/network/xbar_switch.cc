@@ -53,14 +53,6 @@ XbarSwitch::gatherWaitPattern(const Packet &pkt) const
     return pattern;
 }
 
-Tick
-XbarSwitch::occupancyTime(const Packet &pkt) const
-{
-    return _cfg.portOccupancyHeader +
-           static_cast<Tick>(pkt.sizeBytes *
-                             _cfg.portOccupancyPerByte);
-}
-
 bool
 XbarSwitch::reserve(unsigned in_port, const Packet &pkt)
 {
@@ -171,17 +163,7 @@ XbarSwitch::tryCombine(unsigned in_port, std::uint8_t outs,
                 ++_net.combineSkipped;
                 return false;
             }
-            CombineTable::Record r;
-            r.key = pkt->combineKey;
-            r.repTicket = q->combineTicket;
-            r.absorbedTicket = pkt->combineTicket;
-            r.absorbedSrc = pkt->src;
-            r.absorbedCookie = pkt->combineCookie;
-            r.prefix = q->combineOperand;
-            r.op = q->combineOp;
-            _combine.store(r);
-            q->combineOperand = combineApply(
-                q->combineOp, q->combineOperand, pkt->combineOperand);
+            _combine.store(combineMerge(*q, *pkt));
             ++_net.combineMerged;
             pkt.reset();
             releaseReservation(in_port, outs);
@@ -263,7 +245,7 @@ XbarSwitch::arbitrate(unsigned out)
             PacketPtr pkt = std::move(f.q.front());
             f.q.pop_front();
             _rr[out] = (in + 1) % switchRadix;
-            Tick occ = occupancyTime(*pkt);
+            Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
             _busy[out] = true;
             _eq.scheduleAfter(occ, [this, out] {
                 _busy[out] = false;
@@ -288,7 +270,7 @@ XbarSwitch::arbitrate(unsigned out)
         PacketPtr pkt = std::move(f.q.front());
         f.q.pop_front();
         _rr[out] = (in + 1) % switchRadix;
-        Tick occ = occupancyTime(*pkt);
+        Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
         _busy[out] = true;
         _eq.scheduleAfter(occ, [this, out] {
             _busy[out] = false;

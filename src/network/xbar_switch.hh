@@ -111,7 +111,7 @@ class XbarSwitch
 
     /**
      * Combining-record table (mutable: the reply descent pops the
-     * records it answers — Network::descendCombinedReply).
+     * records it answers — Network::descendReply).
      */
     CombineTable &combineTable() { return _combine; }
 
@@ -153,7 +153,6 @@ class XbarSwitch
     void enqueue(unsigned in, unsigned out, PacketPtr pkt);
     void releaseReservation(unsigned in, std::uint8_t outs);
     void inputSpaceFreed(unsigned in);
-    Tick occupancyTime(const Packet &pkt) const;
 
     EventQueue &_eq;
     Network &_net;

@@ -36,6 +36,11 @@ ReliableTransport::netStats() const
     NetStats s = _inner->netStats();
     s.injected = injected;
     s.delivered = delivered;
+    s.multicastCopies += _multicastCopies.value();
+    for (const Rx &rx : _rx) {
+        s.gatherAbsorbed += rx.gathers.absorbed.value();
+        s.gatherForwarded += rx.gathers.forwarded.value();
+    }
     return s;
 }
 
@@ -90,13 +95,11 @@ ReliableTransport::tryInject(PacketPtr &&pkt)
         // Wire normalization: the fabric must never replicate a
         // sequenced packet, so the multicast fans out here into one
         // sequenced unicast clone per member.
-        const NodeSet &dsts = decodedDest(*pkt);
-        dsts.forEach([this, src, &pkt](NodeId t) {
-            PacketPtr c = pkt->clone();
-            c->dest = DestSpec::unicast(t);
-            c->decodedDestValid = false;
-            sendData(src, t, std::move(c));
-        });
+        _multicastCopies += fanOutUnicast(
+            *pkt, decodedDest(*pkt), [this, src](PacketPtr c) {
+                NodeId dst = c->dest.unicastDest();
+                sendData(src, dst, std::move(c));
+            });
     } else {
         NodeId dst = pkt->dest.unicastDest();
         sendData(src, dst, std::move(pkt));
@@ -245,25 +248,11 @@ ReliableTransport::acceptUp(NodeId dst, PacketPtr pkt)
     pkt->combinedReply = (f & 4u) != 0;
     pkt->relSavedFlags = 0;
 
-    if (pkt->gathered) {
-        // Software reply merging, same semantics as the fabric's
-        // gather tables: sibling replies (arriving exactly once each
-        // thanks to the ARQ) count down; only the last is delivered.
-        if (!pkt->gatherGroup)
-            panic("reliable: gathered packet without a gather group");
-        Rx &rx = _rx[dst];
-        auto it = rx.gathers.find(pkt->gatherId);
-        if (it == rx.gathers.end()) {
-            unsigned expected = pkt->gatherGroup->count();
-            if (expected == 0)
-                panic("reliable: gather with an empty group");
-            it = rx.gathers.emplace(pkt->gatherId, expected).first;
-        }
-        if (--it->second > 0)
-            return; // absorbed
-        rx.gathers.erase(it);
-        ++gatherMerged;
-    }
+    // Software reply merging, same semantics as the fabric's gather
+    // tables: sibling replies (arriving exactly once each thanks to
+    // the ARQ) count down; only the last is delivered.
+    if (pkt->gathered && !_rx[dst].gathers.arrive(*pkt))
+        return; // absorbed
     _rx[dst].upQ.push_back(std::move(pkt));
     pumpUp(dst);
 }

@@ -31,7 +31,9 @@
  * into per-destination unicast clones at the sender, gathered
  * replies travel as plain unicasts and merge in software at the
  * receiver, and combinable atomics lose their fabric-combining flags
- * (the home serializes the RMWs). The original service flags ride in
+ * (the home serializes the RMWs). The fan-out and the gather
+ * countdown are the shared steps of transport/collectives.hh, and
+ * netStats() counts them. The original service flags ride in
  * Packet::relSavedFlags and are restored before upward delivery, so
  * the protocol stack observes identical semantics on any backend.
  *
@@ -52,6 +54,7 @@
 #include "sim/hashing.hh"
 #include "sim/inline_function.hh"
 #include "sim/stats.hh"
+#include "transport/collectives.hh"
 #include "transport/transport.hh"
 
 namespace cenju
@@ -69,7 +72,6 @@ struct ReliableStats
     Counter checksumRejects; ///< corrupted packets refused
     Counter acksSent;        ///< cumulative acks on the ack wire
     Counter backoffTicks;    ///< retransmit-timer time waited
-    Counter gatherMerged;    ///< gather groups merged at the receiver
     Counter faultDrops;      ///< inner deliveries the plan dropped
     Counter faultDups;       ///< inner deliveries the plan doubled
     Counter faultCorrupts;   ///< inner deliveries the plan corrupted
@@ -116,15 +118,9 @@ class ReliableTransport final : public Transport, public ReliableStats
     }
 
     /** The inner fabric's counts, with the exactly-once injected
-     * and delivered counts of this layer. */
+     * and delivered counts of this layer and the multicast copies
+     * and gather merges it does for the fabric. */
     NetStats netStats() const override;
-
-    /** The home serializes atomic RMWs; no fabric combining. */
-    CombineMode
-    combineMode() const override
-    {
-        return CombineMode::SoftwareTree;
-    }
 
     // minCrossShardLatency() stays 0 and bindShards() stays false
     // (Transport defaults): the control events have no latency
@@ -232,9 +228,7 @@ class ReliableTransport final : public Transport, public ReliableStats
     {
         std::deque<PacketPtr> upQ;
         bool pumping = false;
-        /** Key: gatherId (the map is already per-destination). */
-        std::unordered_map<std::uint32_t, unsigned, U64MixHash>
-            gathers;
+        GatherCountdown gathers;
     };
 
     static std::uint64_t
@@ -266,6 +260,9 @@ class ReliableTransport final : public Transport, public ReliableStats
 
     std::unordered_map<std::uint64_t, SendChan, U64MixHash> _send;
     std::unordered_map<std::uint64_t, RecvChan, U64MixHash> _recv;
+
+    /** Extra unicast copies the multicast fan-out made. */
+    Counter _multicastCopies;
 
     LinkDeadFn _onLinkDead;
 };

@@ -9,7 +9,7 @@
  *   b) shared local (clean)  = a + directory 140             =  610
  *   c) shared remote (clean) = b + 2 x traversal(stages)     = 1690 /
  *        traversal(s) = 280 + 130 s                            2210 /
- *                                                              2730
+ *        (NetConfig::traversal, transport/net_config.hh)       2730
  *   d) shared local (dirty)  = b + 2 x traversal + slave 210 = 1900 /
  *                                                              2480* /
  *                                                              3060*
@@ -31,7 +31,10 @@
 namespace cenju
 {
 
-/** Latency/occupancy parameters for nodes, memory and network. */
+/**
+ * Latency/occupancy parameters of nodes and memory. The network's
+ * latencies live only in NetConfig (transport/net_config.hh).
+ */
 struct TimingParams
 {
     /** Processor overhead to detect a miss and form a request. */
@@ -45,12 +48,6 @@ struct TimingParams
 
     /** One directory read-modify-write at the home. */
     Tick directoryAccess = 140;
-
-    /** Header latency of one switch stage (per hop, cut-through). */
-    Tick networkStage = 130;
-
-    /** Injection + ejection overhead of one network traversal. */
-    Tick networkOverhead = 280;
 
     /** Slave-module occupancy to service one forwarded request or
      * invalidation. */
@@ -67,9 +64,6 @@ struct TimingParams
      * (1023 x (120 + 60) ~ the paper's 184 us estimate at 1024).
      */
     Tick unicastInvSendOccupancy = 120;
-
-    /** Per-switch overhead to merge one gathered reply. */
-    Tick gatherMergeLatency = 20;
 
     /** Main-memory access to enqueue/dequeue one queued message. */
     Tick memoryQueueAccess = 80;
@@ -91,14 +85,6 @@ struct TimingParams
 
     /** MPI payload bandwidth in bytes per ns (169 MB/s ~ 0.169). */
     double mpiBytesPerNs = 0.169;
-
-    /** Latency of one network traversal crossing @p stages stages. */
-    Tick
-    traversal(unsigned stages) const
-    {
-        return networkOverhead +
-               static_cast<Tick>(stages) * networkStage;
-    }
 };
 
 } // namespace cenju

@@ -4,10 +4,12 @@
  *
  * Lives in transport/ (not network/) because every backend consumes
  * it: the multistage fabric charges these latencies hop by hop, and
- * the analytical backends derive their fixed pipe latency from the
- * same stage/inject/eject numbers so all three agree bit-for-bit on
- * uncontended paths (docs/ARCHITECTURE.md). The stage-count rule is
- * fabric geometry shared the same way, so it lives here too.
+ * the analytical backends charge traversal() of the same stage,
+ * inject and eject numbers as their fixed pipe latency, so all three
+ * agree bit-for-bit on uncontended paths (docs/ARCHITECTURE.md).
+ * This is the only place the network's latencies live. The
+ * stage-count rule is fabric geometry shared the same way, so it
+ * lives here too.
  */
 
 #ifndef CENJU_TRANSPORT_NET_CONFIG_HH
@@ -98,6 +100,27 @@ struct NetConfig
      * ignore it.
      */
     Tick swCombineWindow = 500;
+
+    /**
+     * Uncontended latency of one network traversal across @p stages
+     * stages: inject + stages x stage + eject, the Table 2
+     * calibration 280 + 130 s at the defaults (sim/timing.hh).
+     */
+    Tick
+    traversal(unsigned stages) const
+    {
+        return injectLatency +
+               static_cast<Tick>(stages) * stageLatency +
+               ejectLatency;
+    }
+
+    /** Time a packet of @p bytes holds a serializing port. */
+    Tick
+    portOccupancy(unsigned bytes) const
+    {
+        return portOccupancyHeader +
+               static_cast<Tick>(bytes * portOccupancyPerByte);
+    }
 
     /**
      * Cenju-4 stage-count rule: enough radix-4 stages to address

@@ -123,6 +123,14 @@ class Packet
     /** Copy for multicast replication. */
     virtual std::unique_ptr<Packet> clone() const = 0;
 
+    /** Make this a unicast to @p n, dropping the decoded-set cache. */
+    void
+    readdress(NodeId n)
+    {
+        dest = DestSpec::unicast(n);
+        decodedDestValid = false;
+    }
+
     NodeId src = invalidNode;
 
     /** Header destination. Multicast iff dest.kind() != Unicast. */

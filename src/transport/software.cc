@@ -10,20 +10,15 @@ SoftwareTransport::SoftwareTransport(EventQueue &eq,
                                      const NetConfig &cfg,
                                      bool software_collectives)
     : _eq(eq), _cfg(cfg), _softwareCollectives(software_collectives),
+      // Charge the multistage fabric's uncontended path so the two
+      // fabrics agree exactly when there is no contention (the
+      // Table 2 unicast latencies): what remains is the contention
+      // + fanout cost this backend removes or restructures.
+      _pipeLatency(cfg.traversal(NetConfig::defaultStages(cfg.numNodes))),
       _injectors(cfg.numNodes), _ports(cfg.numNodes),
       _endpoints(cfg.numNodes, nullptr),
       _combiners(software_collectives ? cfg.numNodes : 0)
-{
-    // Charge the multistage fabric's uncontended path so the two
-    // fabrics agree exactly when there is no contention (the Table 2
-    // unicast latencies): what remains is the contention + fanout
-    // cost this backend removes or restructures.
-    _pipeLatency = _cfg.injectLatency +
-                   static_cast<Tick>(
-                       NetConfig::defaultStages(_cfg.numNodes)) *
-                       _cfg.stageLatency +
-                   _cfg.ejectLatency;
-}
+{}
 
 bool
 SoftwareTransport::bindShards(shard::Router *router)
@@ -56,8 +51,10 @@ SoftwareTransport::netStats() const
     }
     for (const DeliveryPort &p : _ports) {
         s.delivered += p.delivered;
-        s.gatherAbsorbed += p.gatherAbsorbed;
-        s.gatherForwarded += p.gatherForwarded;
+        s.gatherAbsorbed += p.gathers.absorbed.value();
+        s.gatherForwarded += p.gathers.forwarded.value();
+        s.combineMerged += p.combineMerged;
+        s.combineDecombined += p.combineDecombined;
         s.latency.merge(p.latency);
     }
     return s;
@@ -71,16 +68,8 @@ SoftwareTransport::attach(NodeId n, Endpoint *ep)
     _endpoints[n] = ep;
 }
 
-Tick
-SoftwareTransport::occupancyOf(const Packet &pkt) const
-{
-    return _cfg.portOccupancyHeader +
-           static_cast<Tick>(pkt.sizeBytes *
-                             _cfg.portOccupancyPerByte);
-}
-
 unsigned
-SoftwareTransport::effectiveInjectCapacity(NodeId n) const
+SoftwareTransport::injectCapacity(NodeId n) const
 {
     unsigned cap = _cfg.injectQueueCapacity;
     if (_faultHook)
@@ -88,17 +77,11 @@ SoftwareTransport::effectiveInjectCapacity(NodeId n) const
     return cap;
 }
 
-unsigned
-SoftwareTransport::injectCapacity(NodeId n) const
-{
-    return effectiveInjectCapacity(n);
-}
-
 void
 SoftwareTransport::faultInjectRetry(NodeId n)
 {
     Injector &inj = _injectors[n];
-    if (inj.wasFull && inj.q.size() < effectiveInjectCapacity(n)) {
+    if (inj.wasFull && inj.q.size() < injectCapacity(n)) {
         inj.wasFull = false;
         if (_endpoints[n])
             _endpoints[n]->injectSpaceAvailable();
@@ -141,7 +124,7 @@ SoftwareTransport::tryInject(PacketPtr &&pkt)
         hwCombineReply(n, std::move(pkt));
         return true;
     }
-    if (inj.q.size() >= effectiveInjectCapacity(n)) {
+    if (inj.q.size() >= injectCapacity(n)) {
         inj.wasFull = true;
         return false;
     }
@@ -175,18 +158,12 @@ SoftwareTransport::pumpInjector(NodeId n)
                 pkt->dest.kind() != DestSpec::Kind::Unicast) {
                 // Sender-side multicast loop: one point-to-point
                 // packet per member, each paying its own port
-                // occupancy below.
-                const NodeSet &dsts = decodedDest(*pkt);
-                unsigned members = dsts.count();
-                if (members > 1)
-                    inj.multicastCopies += members - 1;
-                dsts.forEach([&inj, &pkt](NodeId t) {
-                    PacketPtr c = pkt->clone();
-                    c->dest = DestSpec::unicast(t);
-                    c->decodedDestValid = false;
-                    inj.fanout.push_back(std::move(c));
-                });
-                continue; // members == 0: packet silently dropped
+                // occupancy below. An empty set sends nothing.
+                inj.multicastCopies += fanOutUnicast(
+                    *pkt, decodedDest(*pkt), [&inj](PacketPtr c) {
+                        inj.fanout.push_back(std::move(c));
+                    });
+                continue;
             }
             inj.fanout.push_back(std::move(pkt));
         }
@@ -204,8 +181,8 @@ SoftwareTransport::routeArrival(NodeId src, NodeId dst, Tick when,
                                p = std::move(pkt)]() mutable {
         arrive(dst, std::move(p));
     };
-    if (_router->shardOf(dst) == _router->shardOf(src))
-        _router->queueFor(src).schedule(when, std::move(cb));
+    if (!_router || _router->shardOf(dst) == _router->shardOf(src))
+        queueOf(src).schedule(when, std::move(cb));
     else
         _router->crossSchedule(src, dst, when, std::move(cb));
 }
@@ -214,56 +191,28 @@ void
 SoftwareTransport::sendOne(Injector &inj, NodeId n, PacketPtr pkt)
 {
     inj.busy = true;
-    Tick occ = occupancyOf(*pkt);
+    Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
+    Tick when = nowOf(n) + _pipeLatency;
 
-    if (!_softwareCollectives &&
-        pkt->dest.kind() != DestSpec::Kind::Unicast) {
-        // Hardware multicast without contention: one injection, the
-        // fabric replicates, all members receive simultaneously.
+    if (pkt->dest.kind() == DestSpec::Kind::Unicast) {
+        NodeId dst = pkt->dest.unicastDest();
+        routeArrival(n, dst, when, std::move(pkt));
+    } else {
+        // Hardware multicast without contention (ideal; direct
+        // expanded its multicasts in pumpInjector): one injection,
+        // the fabric replicates, and every member's copy arrives at
+        // the same tick, one event each in NodeSet order.
         const NodeSet &dsts = decodedDest(*pkt);
         unsigned members = dsts.count();
         if (members > 1)
             inj.multicastCopies += members - 1;
-        if (_router) {
-            // Sharded: per-member arrival events so each member's
-            // delivery runs on its owning shard. Scheduled in
-            // NodeSet order from this one send, so the recovered
-            // global order — and with it the step digest — matches
-            // the sequential single-event fanout exactly.
-            Tick when = nowOf(n) + _pipeLatency;
-            unsigned seen = 0;
-            dsts.forEach([&](NodeId t) {
-                if (++seen == members)
-                    routeArrival(n, t, when, std::move(pkt));
-                else
-                    routeArrival(n, t, when, pkt->clone());
-            });
-        } else {
-            _eq.scheduleAfter(
-                _pipeLatency, [this, p = std::move(pkt)]() mutable {
-                    const NodeSet &ds = decodedDest(*p);
-                    unsigned m = ds.count();
-                    unsigned seen = 0;
-                    ds.forEach([&](NodeId t) {
-                        if (++seen == m)
-                            arrive(t, std::move(p));
-                        else
-                            arrive(t, p->clone());
-                    });
-                });
-        }
-    } else {
-        NodeId dst = pkt->dest.unicastDest();
-        if (_router) {
-            routeArrival(n, dst, nowOf(n) + _pipeLatency,
-                         std::move(pkt));
-        } else {
-            _eq.scheduleAfter(_pipeLatency,
-                              [this, dst,
-                               p = std::move(pkt)]() mutable {
-                                  arrive(dst, std::move(p));
-                              });
-        }
+        unsigned seen = 0;
+        dsts.forEach([&](NodeId t) {
+            if (++seen == members)
+                routeArrival(n, t, when, std::move(pkt));
+            else
+                routeArrival(n, t, when, pkt->clone());
+        });
     }
 
     queueOf(n).scheduleAfter(
@@ -271,8 +220,7 @@ SoftwareTransport::sendOne(Injector &inj, NodeId n, PacketPtr pkt)
             Injector &i2 = _injectors[n];
             i2.busy = false;
             pumpInjector(n);
-            if (i2.wasFull &&
-                i2.q.size() < effectiveInjectCapacity(n)) {
+            if (i2.wasFull && i2.q.size() < injectCapacity(n)) {
                 i2.wasFull = false;
                 if (_endpoints[n])
                     _endpoints[n]->injectSpaceAvailable();
@@ -302,29 +250,11 @@ SoftwareTransport::arrive(NodeId dst, PacketPtr pkt)
             return; // merged or parked at the combining station
         }
     }
-    if (pkt->gathered) {
-        // Software reply merging at the destination: the same
-        // semantics the switch gather tables provide in-network,
-        // performed here so the protocol sees one merged reply on
-        // any backend.
-        if (!pkt->gatherGroup)
-            panic("gathered packet without a gather group");
-        std::uint32_t key = pkt->gatherId;
-        auto it = port.gathers.find(key);
-        if (it == port.gathers.end()) {
-            unsigned expected = pkt->gatherGroup->count();
-            if (expected == 0)
-                panic("gather with an empty group");
-            it = port.gathers.emplace(key, GatherMerge{expected})
-                     .first;
-        }
-        if (--it->second.remaining > 0) {
-            ++port.gatherAbsorbed;
-            return;
-        }
-        port.gathers.erase(it);
-        ++port.gatherForwarded;
-    }
+    // Software reply merging at the destination: the same semantics
+    // the switch gather tables provide in-network, performed here so
+    // the protocol sees one merged reply on any backend.
+    if (pkt->gathered && !port.gathers.arrive(*pkt))
+        return; // absorbed
     port.q.push_back(std::move(pkt));
     pumpDelivery(dst);
 }
@@ -346,7 +276,7 @@ SoftwareTransport::pumpDelivery(NodeId dst)
             break; // endpoint calls deliveryRetry() on free space
         PacketPtr pkt = std::move(port.q.front());
         port.q.pop_front();
-        Tick occ = occupancyOf(*pkt);
+        Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
         ++port.delivered;
         port.latency.sample(
             static_cast<double>(nowOf(dst) - pkt->injectTick));
@@ -407,17 +337,8 @@ SoftwareTransport::hwCombineArrive(NodeId dst, PacketPtr &pkt)
         // Mixed ops on one key: don't combine, deliver serially.
         return false;
     }
-    CombineRecord r;
-    r.repTicket = rep.combineTicket;
-    r.absorbedTicket = pkt->combineTicket;
-    r.absorbedSrc = pkt->src;
-    r.absorbedCookie = pkt->combineCookie;
-    r.prefix = rep.combineOperand;
-    r.op = rep.combineOp;
-    st.records.push_back(r);
-    rep.combineOperand = combineApply(rep.combineOp,
-                                      rep.combineOperand,
-                                      pkt->combineOperand);
+    st.log.add(combineMerge(rep, *pkt));
+    ++port.combineMerged;
     pkt.reset();
     return true;
 }
@@ -429,50 +350,21 @@ SoftwareTransport::hwCombineReply(NodeId home, PacketPtr pkt)
     auto it = port.stations.find(pkt->combineKey);
     const std::uint64_t replyTicket = pkt->combineTicket;
 
-    // Expand the reply against the station's records: every merge
-    // this reply answers spawns the absorbed requester's reply with
-    // the recorded prefix folded onto the base value.
-    std::vector<PacketPtr> outs;
-    outs.push_back(std::move(pkt));
-    if (it != port.stations.end()) {
-        HwStation &st = it->second;
-        for (std::size_t i = 0; i < outs.size(); ++i) {
-            std::uint64_t t = outs[i]->combineTicket;
-            for (std::size_t k = 0; k < st.records.size();) {
-                if (st.records[k].repTicket != t) {
-                    ++k;
-                    continue;
-                }
-                CombineRecord r = st.records[k];
-                st.records.erase(
-                    st.records.begin() +
-                    static_cast<std::ptrdiff_t>(k));
-                PacketPtr sub = outs[i]->clone();
-                sub->dest = DestSpec::unicast(r.absorbedSrc);
-                sub->decodedDestValid = false;
-                sub->combineOperand = combineApply(
-                    r.op, outs[i]->combineOperand, r.prefix);
-                sub->combineTicket = r.absorbedTicket;
-                sub->combineCookie = r.absorbedCookie;
-                outs.push_back(std::move(sub));
-            }
-        }
-    }
-
     // All replies leave at once: the hardware primitive charges no
-    // injector occupancy, only the uncontended pipe.
+    // injector occupancy, only the uncontended pipe. The reply goes
+    // first, then the reply of every requester the station merged
+    // into it, rebuilt from the reply (which its arrival event owns
+    // and keeps alive meanwhile). An absorbed request never reaches
+    // the station again, so its reply answers no further merge.
     Tick when = nowOf(home) + _pipeLatency;
-    for (PacketPtr &out : outs) {
-        NodeId dst = out->dest.unicastDest();
-        if (_router) {
-            routeArrival(home, dst, when, std::move(out));
-        } else {
-            _eq.scheduleAfter(_pipeLatency,
-                              [this, dst,
-                               p = std::move(out)]() mutable {
-                                  arrive(dst, std::move(p));
-                              });
-        }
+    const Packet &reply = *pkt;
+    routeArrival(home, reply.dest.unicastDest(), when, std::move(pkt));
+    if (it != port.stations.end()) {
+        it->second.log.take(replyTicket, [&](const CombineRecord &r) {
+            ++port.combineDecombined;
+            routeArrival(home, r.absorbedSrc, when,
+                         decombine(reply, r));
+        });
     }
 
     // Release the pending aggregate into the endpoint (it is the
@@ -491,9 +383,9 @@ SoftwareTransport::hwCombineReply(NodeId home, PacketPtr pkt)
                     deliverLocal(home, std::move(p));
                 });
         } else {
-            if (!it->second.records.empty())
+            if (it->second.log.size() != 0)
                 panic("combining station retired with %zu live "
-                      "records", it->second.records.size());
+                      "records", it->second.log.size());
             port.stations.erase(it);
         }
     }
@@ -519,7 +411,7 @@ SoftwareTransport::swCombineAccept(NodeId x, PacketPtr pkt)
     std::uint64_t key = pkt->combineKey;
     auto it = c.pending.find(key);
     if (it != c.pending.end()) {
-        Packet &rep = *it->second;
+        Packet &rep = *it->second.agg;
         if (rep.combineOp != pkt->combineOp) {
             // Mixed ops on one key: skip the combiner and climb
             // the tree alone. Still a real tree hop: re-address to
@@ -527,27 +419,16 @@ SoftwareTransport::swCombineAccept(NodeId x, PacketPtr pkt)
             // loop back here) and record the return path so the
             // reply retraces to whoever handed us the packet.
             c.fwdFrom[pkt->combineTicket] = pkt->src;
-            pkt->dest = DestSpec::unicast(
-                swParent(x, pkt->combineHome));
-            pkt->decodedDestValid = false;
+            pkt->readdress(swParent(x, pkt->combineHome));
             swForward(x, std::move(pkt));
             return;
         }
-        CombineRecord r;
-        r.repTicket = rep.combineTicket;
-        r.absorbedTicket = pkt->combineTicket;
-        r.absorbedSrc = pkt->src;
-        r.absorbedCookie = pkt->combineCookie;
-        r.prefix = rep.combineOperand;
-        r.op = rep.combineOp;
-        c.records.push_back(r);
-        rep.combineOperand = combineApply(rep.combineOp,
-                                          rep.combineOperand,
-                                          pkt->combineOperand);
+        c.log.add(combineMerge(rep, *pkt));
+        ++_ports[x].combineMerged;
         return; // absorbed
     }
-    c.pendingFrom[key] = pkt->src;
-    c.pending.emplace(key, std::move(pkt));
+    NodeId from = pkt->src;
+    c.pending.emplace(key, SwCombiner::Pending{std::move(pkt), from});
     queueOf(x).scheduleAfter(_cfg.swCombineWindow,
                              [this, x, key] {
                                  swCombineFlush(x, key);
@@ -561,12 +442,10 @@ SoftwareTransport::swCombineFlush(NodeId x, std::uint64_t key)
     auto it = c.pending.find(key);
     if (it == c.pending.end())
         return; // already flushed
-    PacketPtr agg = std::move(it->second);
+    PacketPtr agg = std::move(it->second.agg);
+    c.fwdFrom[agg->combineTicket] = it->second.from;
     c.pending.erase(it);
-    c.fwdFrom[agg->combineTicket] = c.pendingFrom[key];
-    c.pendingFrom.erase(key);
-    agg->dest = DestSpec::unicast(swParent(x, agg->combineHome));
-    agg->decodedDestValid = false;
+    agg->readdress(swParent(x, agg->combineHome));
     swForward(x, std::move(agg));
 }
 
@@ -591,30 +470,17 @@ SoftwareTransport::swReplyArrive(NodeId x, PacketPtr pkt)
     std::uint64_t t = pkt->combineTicket;
 
     // Decombine the merges this node performed for that aggregate.
-    for (std::size_t k = 0; k < c.records.size();) {
-        if (c.records[k].repTicket != t) {
-            ++k;
-            continue;
-        }
-        CombineRecord r = c.records[k];
-        c.records.erase(c.records.begin() +
-                        static_cast<std::ptrdiff_t>(k));
-        PacketPtr sub = pkt->clone();
-        sub->dest = DestSpec::unicast(r.absorbedSrc);
-        sub->decodedDestValid = false;
-        sub->combineOperand =
-            combineApply(r.op, pkt->combineOperand, r.prefix);
-        sub->combineTicket = r.absorbedTicket;
-        sub->combineCookie = r.absorbedCookie;
+    c.log.take(t, [&](const CombineRecord &r) {
+        ++_ports[x].combineDecombined;
         if (r.absorbedSrc == x) {
             // This node's own request, absorbed here: complete it.
-            deliverLocal(x, std::move(sub));
+            deliverLocal(x, decombine(*pkt, r));
         } else {
             // Serialized through our injector: the software tree's
             // decombine cost, per child.
-            swForward(x, std::move(sub));
+            swForward(x, decombine(*pkt, r));
         }
-    }
+    });
 
     // Continue the descent: toward whoever handed us the aggregate,
     // or complete locally if it originated here.
@@ -628,8 +494,7 @@ SoftwareTransport::swReplyArrive(NodeId x, PacketPtr pkt)
     if (next == x) {
         deliverLocal(x, std::move(pkt));
     } else {
-        pkt->dest = DestSpec::unicast(next);
-        pkt->decodedDestValid = false;
+        pkt->readdress(next);
         swForward(x, std::move(pkt));
     }
 }

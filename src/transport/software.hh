@@ -5,9 +5,8 @@
  * Both backends here model an interconnect as a fixed-latency pipe
  * per message — injection queue, serializing source port, a single
  * end-to-end latency equal to the multistage fabric's *uncontended*
- * path (injectLatency + stages * stageLatency + ejectLatency), and
- * a delivery queue per destination — without modelling any internal
- * switch contention:
+ * path (NetConfig::traversal), and a delivery queue per
+ * destination — without modelling any internal switch contention:
  *
  *  - IdealTransport keeps the fabric's hardware multicast and
  *    gathering semantics (one injection covers the whole NodeSet,
@@ -25,6 +24,9 @@
  * Both still honor the full Transport contract (back-pressure,
  * check/fault hooks, per-source-destination ordering), so stress,
  * modelcheck and the invariant engine run unchanged on top of them.
+ * Their collective steps are the shared ones of
+ * transport/collectives.hh; only where a step runs and what it
+ * costs is theirs.
  */
 
 #ifndef CENJU_TRANSPORT_SOFTWARE_HH
@@ -37,6 +39,7 @@
 #include "sim/event_queue.hh"
 #include "sim/hashing.hh"
 #include "sim/stats.hh"
+#include "transport/collectives.hh"
 #include "transport/net_config.hh"
 #include "transport/transport.hh"
 
@@ -52,11 +55,6 @@ class SoftwareTransport : public Transport
 
     /** Sums the per-node counts (kept per node for sharding). */
     NetStats netStats() const override;
-
-    const NetConfig &config() const { return _cfg; }
-
-    /** Uncontended end-to-end latency of one message. */
-    Tick pipeLatency() const { return _pipeLatency; }
 
     void attach(NodeId n, Endpoint *ep) override;
     bool tryInject(PacketPtr &&pkt) override;
@@ -74,19 +72,6 @@ class SoftwareTransport : public Transport
     }
 
     bool bindShards(shard::Router *router) override;
-
-    /**
-     * Ideal executes combinable atomics as a zero-contention
-     * hardware primitive (home-side combining station); direct
-     * falls back to sender-side software combining trees — the
-     * no-offload baseline (docs/ARCHITECTURE.md).
-     */
-    CombineMode
-    combineMode() const override
-    {
-        return _softwareCollectives ? CombineMode::SoftwareTree
-                               : CombineMode::Hardware;
-    }
 
     unsigned injectCapacity(NodeId n) const override;
 
@@ -113,27 +98,6 @@ class SoftwareTransport : public Transport
                       bool software_collectives);
 
   private:
-    /** In-progress software gather merge at one destination. */
-    struct GatherMerge
-    {
-        unsigned remaining = 0;
-    };
-
-    /**
-     * One recorded merge of combinable requests, kept where the
-     * merge happened so the reply can be decombined there (same
-     * algebra as the switch CombineTable; transport/combine.hh).
-     */
-    struct CombineRecord
-    {
-        std::uint64_t repTicket = 0;
-        std::uint64_t absorbedTicket = 0;
-        NodeId absorbedSrc = invalidNode;
-        std::uint32_t absorbedCookie = 0;
-        std::uint64_t prefix = 0;
-        CombineOp op = CombineOp::FetchAdd;
-    };
-
     /**
      * Ideal's hardware combining station at the home's interface:
      * while one request per key is outstanding at the endpoint, the
@@ -148,7 +112,7 @@ class SoftwareTransport : public Transport
          * serially past the station) must not release pending. */
         std::uint64_t outstandingTicket = 0;
         PacketPtr pending;
-        std::vector<CombineRecord> records;
+        MergeLog log;
     };
 
     /**
@@ -159,14 +123,19 @@ class SoftwareTransport : public Transport
      */
     struct SwCombiner
     {
+        /** An aggregate being built, and the node its rep came
+         * from. */
+        struct Pending
+        {
+            PacketPtr agg;
+            NodeId from = invalidNode;
+        };
+
         /** combineKey -> aggregate being built. */
-        std::unordered_map<std::uint64_t, PacketPtr, U64MixHash>
+        std::unordered_map<std::uint64_t, Pending, U64MixHash>
             pending;
-        /** combineKey -> node the aggregate's rep arrived from. */
-        std::unordered_map<std::uint64_t, NodeId, U64MixHash>
-            pendingFrom;
-        /** Merges performed here, popped on the reply descent. */
-        std::vector<CombineRecord> records;
+        /** Merges performed here, taken on the reply descent. */
+        MergeLog log;
         /** Forwarded ticket -> where its reply should continue. */
         std::unordered_map<std::uint64_t, NodeId, U64MixHash>
             fwdFrom;
@@ -193,8 +162,10 @@ class SoftwareTransport : public Transport
 
     /**
      * Per-destination delivery queue and (optional) serializer.
-     * Receive-side statistics and gather merges live here for the
-     * same shard-ownership reason as Injector's.
+     * Receive-side statistics, gather merges and the counts of the
+     * combining done at this node (ideal's station, direct's tree
+     * node) live here for the same shard-ownership reason as
+     * Injector's.
      */
     struct DeliveryPort
     {
@@ -202,12 +173,10 @@ class SoftwareTransport : public Transport
         bool busy = false;    ///< serialized processing in progress
         bool pumping = false; ///< re-entrancy guard
         std::uint64_t delivered = 0;
-        std::uint64_t gatherAbsorbed = 0;
-        std::uint64_t gatherForwarded = 0;
+        std::uint64_t combineMerged = 0;
+        std::uint64_t combineDecombined = 0;
         SampleStat latency;
-        /** Key: gatherId (the map is already per-destination). */
-        std::unordered_map<std::uint32_t, GatherMerge, U64MixHash>
-            gathers;
+        GatherCountdown gathers;
         /** Ideal: combining stations, keyed by combineKey. */
         std::unordered_map<std::uint64_t, HwStation, U64MixHash>
             stations;
@@ -217,6 +186,12 @@ class SoftwareTransport : public Transport
     void sendOne(Injector &inj, NodeId n, PacketPtr pkt);
     void arrive(NodeId dst, PacketPtr pkt);
     void pumpDelivery(NodeId dst);
+
+    /**
+     * The one arrival path, sequential or sharded: schedule @p pkt
+     * to arrive at @p dst at @p when, on @p src's queue, or through
+     * the router if @p dst lives on another shard.
+     */
     void routeArrival(NodeId src, NodeId dst, Tick when,
                       PacketPtr pkt);
 
@@ -254,13 +229,11 @@ class SoftwareTransport : public Transport
     EventQueue &queueOf(NodeId n);
     Tick nowOf(NodeId n);
 
-    Tick occupancyOf(const Packet &pkt) const;
-    unsigned effectiveInjectCapacity(NodeId n) const;
-
     EventQueue &_eq;
     NetConfig _cfg;
     const bool _softwareCollectives;
-    Tick _pipeLatency;
+    /** Uncontended end-to-end latency of one message. */
+    const Tick _pipeLatency;
     shard::Router *_router = nullptr;
 
     std::vector<Injector> _injectors;

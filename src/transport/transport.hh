@@ -81,8 +81,11 @@ class Endpoint
 
 /**
  * Fabric statistics, counted from construction on (never reset).
- * Every backend reports the whole block; one it has no use for
- * (combining on ideal, say) stays zero.
+ * Every backend reports the whole block, counted wherever it runs
+ * the step: in the switches (multistage), at the ideal station and
+ * the direct tree nodes, or in the reliability decorator's fan-out
+ * and gather countdown. combineSkipped stays zero off the switches,
+ * whose record slots are the only finite ones.
  */
 struct NetStats
 {
@@ -188,24 +191,6 @@ class Transport
         }
         return pkt.decodedDestCache;
     }
-
-    // --- combinable-operation capability (docs/ARCHITECTURE.md) ---
-
-    /**
-     * How this backend executes combinable typed atomics
-     * (Packet::combinable; src/transport/combine.hh). Every backend
-     * must transport them correctly — the mode only says where the
-     * fan-in work happens, which is what the hot-spot benchmarks
-     * compare.
-     */
-    enum class CombineMode : std::uint8_t
-    {
-        InFabric,  ///< merged/decombined at switches (multistage)
-        Hardware,  ///< zero-contention hardware primitive (ideal)
-        SoftwareTree, ///< sender-side combining trees (direct)
-    };
-
-    virtual CombineMode combineMode() const = 0;
 
     // --- sharded simulation (src/shard, docs/ARCHITECTURE.md) -----
 

@@ -34,6 +34,7 @@
 #include "network/network.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "transport/collectives.hh"
 #include "transport/combine.hh"
 
 namespace cenju
@@ -42,6 +43,15 @@ namespace
 {
 
 // --- algebra ----------------------------------------------------------
+
+struct TestPacket : Packet
+{
+    std::unique_ptr<Packet>
+    clone() const override
+    {
+        return std::make_unique<TestPacket>(*this);
+    }
+};
 
 TEST(CombineAlgebra, ApplyPerOp)
 {
@@ -58,7 +68,9 @@ TEST(CombineAlgebra, MergeThenDecombineEqualsSerial)
     // The invariant every backend realizes: merging operands b and
     // c under rep a, applying the aggregate at the home, and
     // decombining the reply must show each participant exactly what
-    // serial execution a;b;c would have shown it.
+    // serial execution a;b;c would have shown it. Runs the shared
+    // steps every backend calls (combineMerge, decombine) on real
+    // packets, two merge levels deep.
     for (CombineOp op :
          {CombineOp::FetchAdd, CombineOp::Min, CombineOp::Max,
           CombineOp::Swap}) {
@@ -74,23 +86,59 @@ TEST(CombineAlgebra, MergeThenDecombineEqualsSerial)
         std::uint64_t rc = mem;
         mem = combineApply(op, mem, c);
 
+        auto request = [op](NodeId src, std::uint64_t operand) {
+            auto p = std::make_unique<TestPacket>();
+            p->src = src;
+            p->dest = DestSpec::unicast(0);
+            p->combinable = true;
+            p->combineOp = op;
+            p->combineOperand = operand;
+            p->combineTicket = 10 * src;
+            p->combineCookie = 100 + src;
+            return p;
+        };
+        PacketPtr pa = request(1, a), pb = request(2, b),
+                  pc = request(3, c);
+
         // Combined: c absorbs into b (prefix = b's accumulated
         // operand), then {b,c} absorbs into a (prefix = a).
-        std::uint64_t acc_b = combineApply(op, b, c);
-        std::uint64_t acc_a = combineApply(op, a, acc_b);
+        CombineRecord mergeC = combineMerge(*pb, *pc);
+        CombineRecord mergeB = combineMerge(*pa, *pb);
+        EXPECT_EQ(mergeC.repTicket, 20u);
+        EXPECT_EQ(mergeC.absorbedTicket, 30u);
+        EXPECT_EQ(mergeB.repTicket, 10u);
+        EXPECT_EQ(mergeB.absorbedTicket, 20u);
         std::uint64_t home_old = M;
-        std::uint64_t home_new = combineApply(op, M, acc_a);
+        std::uint64_t home_new =
+            combineApply(op, M, pa->combineOperand);
         EXPECT_EQ(home_new, mem) << combineOpName(op);
 
-        // Decombine: rep a replies with home_old; the absorbed
-        // {b,c} reply base is apply(home_old, prefix=a); within it,
-        // c's base is apply(that, prefix=b).
-        std::uint64_t reply_a = home_old;
-        std::uint64_t reply_b = combineApply(op, reply_a, a);
-        std::uint64_t reply_c = combineApply(op, reply_b, b);
-        EXPECT_EQ(reply_a, ra) << combineOpName(op);
-        EXPECT_EQ(reply_b, rb) << combineOpName(op);
-        EXPECT_EQ(reply_c, rc) << combineOpName(op);
+        // Decombine: the home's one reply answers a; b's reply is
+        // rebuilt from it, and c's from b's.
+        TestPacket reply;
+        reply.src = 0;
+        reply.dest = DestSpec::unicast(1);
+        reply.combinable = true;
+        reply.combinedReply = true;
+        reply.combineOp = op;
+        reply.combineOperand = home_old;
+        reply.combineTicket = 10;
+        reply.combineCookie = 101;
+        PacketPtr replyB = decombine(reply, mergeB);
+        PacketPtr replyC = decombine(*replyB, mergeC);
+        EXPECT_EQ(reply.combineOperand, ra) << combineOpName(op);
+        EXPECT_EQ(replyB->combineOperand, rb) << combineOpName(op);
+        EXPECT_EQ(replyC->combineOperand, rc) << combineOpName(op);
+
+        // Each rebuilt reply reaches its own requester under its
+        // own ticket and cookie.
+        EXPECT_TRUE(replyC->combinedReply);
+        EXPECT_EQ(replyB->dest.unicastDest(), 2u);
+        EXPECT_EQ(replyB->combineTicket, 20u);
+        EXPECT_EQ(replyB->combineCookie, 102u);
+        EXPECT_EQ(replyC->dest.unicastDest(), 3u);
+        EXPECT_EQ(replyC->combineTicket, 30u);
+        EXPECT_EQ(replyC->combineCookie, 103u);
     }
 }
 
@@ -101,20 +149,19 @@ TEST(CombineTableUnit, AliasedTicketsSkipNotCorrupt)
     CombineTable t(2);
     // Absorbed tickets 1 and 3 alias onto slot 1; 2 takes slot 0.
     EXPECT_TRUE(t.canRecord(1));
-    t.store(CombineTable::Record{/*key=*/0x40, /*repTicket=*/10,
-                                 /*absorbedTicket=*/1,
-                                 /*absorbedSrc=*/5,
-                                 /*absorbedCookie=*/1,
-                                 /*prefix=*/7, CombineOp::FetchAdd,
-                                 true});
+    t.store(CombineRecord{/*repTicket=*/10, /*absorbedTicket=*/1,
+                          /*absorbedSrc=*/5, /*absorbedCookie=*/1,
+                          /*prefix=*/7, CombineOp::FetchAdd});
     EXPECT_FALSE(t.canRecord(3)); // aliased: merge must be skipped
     EXPECT_TRUE(t.canRecord(2));  // other slot: fine
     EXPECT_EQ(t.activeCount(), 1u);
+    EXPECT_EQ(t.matches(10), 1u);
 
-    std::vector<CombineTable::Record> recs;
-    t.takeMatches(/*rep_ticket=*/99, recs);
-    EXPECT_TRUE(recs.empty()); // different rep: nothing popped
-    t.takeMatches(/*rep_ticket=*/10, recs);
+    std::vector<CombineRecord> recs;
+    auto keep = [&recs](const CombineRecord &r) { recs.push_back(r); };
+    t.take(/*rep_ticket=*/99, keep);
+    EXPECT_TRUE(recs.empty()); // different rep: nothing taken
+    t.take(/*rep_ticket=*/10, keep);
     ASSERT_EQ(recs.size(), 1u);
     EXPECT_EQ(recs[0].absorbedTicket, 1u);
     EXPECT_EQ(recs[0].prefix, 7u);
@@ -123,15 +170,6 @@ TEST(CombineTableUnit, AliasedTicketsSkipNotCorrupt)
 }
 
 // --- raw multistage fixtures ------------------------------------------
-
-struct TestPacket : Packet
-{
-    std::unique_ptr<Packet>
-    clone() const override
-    {
-        return std::make_unique<TestPacket>(*this);
-    }
-};
 
 /** Endpoint keeping every delivered packet for inspection. */
 class KeepEndpoint : public Endpoint
@@ -446,6 +484,17 @@ TEST(CombineSystem, FetchAddTicketsAreDenseOnEveryBackend)
                 << nameOf(t) << " node " << i;
         EXPECT_EQ(readWord(sys, ctr, 0), 116u)
             << nameOf(t);
+
+        // Every backend reports the merges it made and rebuilds one
+        // reply per merge. The e2e decorator strips the combining
+        // flags by design, so only a bare backend must merge.
+        NetStats net = sys.transport().netStats();
+        EXPECT_EQ(net.combineDecombined.value(),
+                  net.combineMerged.value())
+            << nameOf(t);
+        if (sys.config().reliability == ReliabilityKind::Off) {
+            EXPECT_GT(net.combineMerged.value(), 0u) << nameOf(t);
+        }
     }
 }
 
@@ -530,8 +579,8 @@ TEST(CombineSystem, MultistageStormCombinesInNetwork)
 {
     // The tentpole's reason to exist: a 64-node same-word storm on
     // the multistage fabric must actually merge in the switches. The
-    // e2e decorator combines in software trees instead, so pin the
-    // bare backend.
+    // e2e decorator strips the combining flags by design (the home
+    // serializes every RMW), so pin the bare backend.
     SystemConfig cfg = sysConfig(64, TransportKind::Multistage);
     cfg.reliability = ReliabilityKind::Off;
     DsmSystem sys(cfg);

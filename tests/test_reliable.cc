@@ -249,6 +249,9 @@ TEST_P(ReliableOverBackend, MulticastFansOutToUnicasts)
             EXPECT_EQ(f.eps[n]->arrivals[0]->dest.unicastDest(), n);
         }
     }
+    // The fabric made no copies; the decorator made three and
+    // reports them.
+    EXPECT_EQ(counterOf(f.rel().stats(), "multicast_copies"), 3u);
 }
 
 TEST_P(ReliableOverBackend, GatherMergesInSoftware)
@@ -273,6 +276,10 @@ TEST_P(ReliableOverBackend, GatherMergesInSoftware)
     EXPECT_TRUE(f.eps[home]->arrivals[0]->gathered);
     EXPECT_EQ(f.eps[home]->arrivals[0]->gatherId,
               static_cast<std::uint16_t>(home));
+    // Four of the five replies merged away at the receiver.
+    StatGroup g = f.rel().stats();
+    EXPECT_EQ(counterOf(g, "gather_absorbed"), 4u);
+    EXPECT_EQ(counterOf(g, "gather_forwarded"), 1u);
 }
 
 TEST_P(ReliableOverBackend, DuplicateEveryPacketIsIdempotent)

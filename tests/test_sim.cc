@@ -15,7 +15,6 @@
 #include "sim/object_pool.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
-#include "sim/timing.hh"
 
 namespace cenju
 {
@@ -209,20 +208,6 @@ TEST(SampleStat, MergeMatchesCombinedStream)
     EXPECT_NEAR(a.stddev(), all.stddev(), 1e-9);
 }
 
-TEST(Histogram, BucketsAndClamp)
-{
-    Histogram h(10.0, 4);
-    h.sample(5);
-    h.sample(15);
-    h.sample(35);
-    h.sample(1000); // clamps to last bucket
-    EXPECT_EQ(h.counts()[0], 1u);
-    EXPECT_EQ(h.counts()[1], 1u);
-    EXPECT_EQ(h.counts()[2], 0u);
-    EXPECT_EQ(h.counts()[3], 2u);
-    EXPECT_EQ(h.stat().count(), 4u);
-}
-
 TEST(StatGroup, NamedLookupIsStable)
 {
     StatGroup g("test");
@@ -291,15 +276,6 @@ TEST(Rng, SampleDistinctClampsToPopulation)
     Rng r(5);
     auto v = r.sampleDistinct(50, 10);
     EXPECT_EQ(v.size(), 10u);
-}
-
-TEST(Timing, TraversalFormulaMatchesTable2Calibration)
-{
-    TimingParams t;
-    // Table 2 row (c): 610 + 2 * traversal(stages).
-    EXPECT_EQ(610 + 2 * t.traversal(2), 1690u);
-    EXPECT_EQ(610 + 2 * t.traversal(4), 2210u);
-    EXPECT_EQ(610 + 2 * t.traversal(6), 2730u);
 }
 
 } // namespace

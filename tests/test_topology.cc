@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the omega topology: stage-count rule, wiring, and the
- * closed-form hops and reach ranges checked against a reference walk
- * through the physical wiring.
+ * Tests for the omega topology: stage-count rule, traversal
+ * latency, wiring, and the closed-form hops and reach ranges checked
+ * against a reference walk through the physical wiring.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +34,15 @@ TEST(Topology, DefaultStagesOtherSizes)
     EXPECT_EQ(NetConfig::defaultStages(64), 4u);  // 3 -> 4
     EXPECT_EQ(NetConfig::defaultStages(256), 4u);
     EXPECT_EQ(NetConfig::defaultStages(257), 6u); // 5 -> 6
+}
+
+TEST(Topology, TraversalFormulaMatchesTable2Calibration)
+{
+    NetConfig cfg;
+    // Table 2 row (c): 610 + 2 * traversal(stages).
+    EXPECT_EQ(610 + 2 * cfg.traversal(2), 1690u);
+    EXPECT_EQ(610 + 2 * cfg.traversal(4), 2210u);
+    EXPECT_EQ(610 + 2 * cfg.traversal(6), 2730u);
 }
 
 TEST(Topology, ChannelsCoverNodes)

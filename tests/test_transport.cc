@@ -23,6 +23,7 @@
 #include "directory/bit_pattern.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "transport/collectives.hh"
 #include "transport/factory.hh"
 
 namespace cenju
@@ -349,6 +350,25 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TransportKind> &info) {
         return nameOf(info.param);
     });
+
+// --- shared collective steps (transport/collectives.hh) ---------------
+
+TEST(GatherCountdown, MissingGroupPanics)
+{
+    GatherCountdown gathers;
+    TestPacket p;
+    p.gathered = true;
+    EXPECT_DEATH(gathers.arrive(p), "without a gather group");
+}
+
+TEST(GatherCountdown, EmptyGroupPanics)
+{
+    GatherCountdown gathers;
+    TestPacket p;
+    p.gathered = true;
+    p.gatherGroup = std::make_shared<NodeSet>(16u);
+    EXPECT_DEATH(gathers.arrive(p), "gather with an empty group");
+}
 
 } // namespace
 } // namespace cenju
