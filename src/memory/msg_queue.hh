@@ -16,11 +16,11 @@
 #define CENJU_MEMORY_MSG_QUEUE_HH
 
 #include <cstddef>
-#include <deque>
 #include <string>
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/ring.hh"
 
 namespace cenju
 {
@@ -78,8 +78,7 @@ class MsgQueue
         if (pos > _q.size())
             panic("%s: insertAt(%zu) past tail %zu", _name.c_str(),
                   pos, _q.size());
-        _q.insert(_q.begin() + static_cast<std::ptrdiff_t>(pos),
-                  std::move(item));
+        _q.insert(pos, std::move(item));
         if (_q.size() > _highWater)
             _highWater = _q.size();
     }
@@ -109,13 +108,13 @@ class MsgQueue
     /** Read-only view of the queued entries, head first (checker
      * introspection; the hardware cannot do this, the simulator
      * can). */
-    const std::deque<T> &items() const { return _q; }
+    const Ring<T> &items() const { return _q; }
 
   private:
     std::string _name;
     std::size_t _capacity;
     std::size_t _highWater = 0;
-    std::deque<T> _q;
+    Ring<T> _q;
 };
 
 } // namespace cenju

@@ -16,7 +16,6 @@
 #define CENJU_MSGPASS_MSG_ENGINE_HH
 
 #include <cstdint>
-#include <deque>
 #include "sim/inline_function.hh"
 #include <unordered_map>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "node/dsm_node.hh"
 #include "sim/hashing.hh"
 #include "sim/object_pool.hh"
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -96,9 +96,9 @@ class MsgEngine
     DsmNode &_node;
 
     /** Keys are packKey(src, tag); see sim/hashing.hh. */
-    std::unordered_map<std::uint64_t, std::deque<Arrived>,
+    std::unordered_map<std::uint64_t, Ring<Arrived>,
                        U64MixHash> _arrived;
-    std::unordered_map<std::uint64_t, std::deque<PendingRecv>,
+    std::unordered_map<std::uint64_t, Ring<PendingRecv>,
                        U64MixHash> _waiting;
 };
 

@@ -39,6 +39,12 @@ namespace cenju
 class GatherTable
 {
   public:
+    /**
+     * Slot storage materializes on the first reserveArrival(), as
+     * CombineTable's does: most switches in most runs never see a
+     * gather, and at 1024 nodes an eager table would be 12 KB on
+     * each of 6144 switches (docs/PERF.md's construction-cost rule).
+     */
     explicit GatherTable(unsigned entries) : _entries(entries)
     {
         if (entries == 0)
@@ -59,6 +65,8 @@ class GatherTable
     bool
     canReserve(std::uint16_t id) const
     {
+        if (_slots.empty())
+            return true;
         const Entry &e = slot(id);
         return !e.occupied() || e.owner == id;
     }
@@ -71,6 +79,8 @@ class GatherTable
     void
     reserveArrival(std::uint16_t id)
     {
+        if (_slots.empty())
+            _slots.resize(_entries);
         Entry &e = slot(id);
         if (!e.occupied())
             e.owner = id;
@@ -91,6 +101,8 @@ class GatherTable
     absorb(std::uint16_t id, unsigned in_port,
            std::uint8_t full_pattern)
     {
+        if (_slots.empty())
+            panic("gather %u: arrival without reservation", id);
         Entry &e = slot(id);
         if (e.owner != id || e.pending == 0)
             panic("gather %u: arrival without reservation", id);
@@ -119,13 +131,15 @@ class GatherTable
     bool
     slotFree(std::uint16_t id) const
     {
-        return !slot(id).occupied();
+        return _slots.empty() || !slot(id).occupied();
     }
 
     /** True if the entry for @p id is mid-gather. */
     bool
     active(std::uint16_t id) const
     {
+        if (_slots.empty())
+            return false;
         const Entry &e = slot(id);
         return e.active && e.owner == id;
     }
@@ -135,12 +149,12 @@ class GatherTable
     activeCount() const
     {
         unsigned n = 0;
-        for (const Entry &e : _entries)
+        for (const Entry &e : _slots)
             n += e.active;
         return n;
     }
 
-    unsigned size() const { return unsigned(_entries.size()); }
+    unsigned size() const { return _entries; }
 
   private:
     struct Entry
@@ -154,14 +168,17 @@ class GatherTable
         bool occupied() const { return active || pending != 0; }
     };
 
-    Entry &slot(std::uint16_t id) { return _entries[id % size()]; }
+    Entry &slot(std::uint16_t id) { return _slots[id % size()]; }
     const Entry &
     slot(std::uint16_t id) const
     {
-        return _entries[id % size()];
+        return _slots[id % size()];
     }
 
-    std::vector<Entry> _entries;
+    const unsigned _entries;
+    /** Empty until the first reserveArrival() (lazy
+     * materialization). */
+    std::vector<Entry> _slots;
 };
 
 /**

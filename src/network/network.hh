@@ -17,7 +17,6 @@
 #ifndef CENJU_NETWORK_NETWORK_HH
 #define CENJU_NETWORK_NETWORK_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "network/topology.hh"
 #include "network/xbar_switch.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "transport/transport.hh"
 
 namespace cenju
@@ -120,7 +120,7 @@ class Network final : public Transport, public NetStats
     /** Per-node injection queue and serializer. */
     struct Injector
     {
-        std::deque<PacketPtr> q;
+        Ring<PacketPtr> q;
         bool busy = false;
         bool waitingSpace = false; ///< blocked on stage-0 buffer
         bool wasFull = false;      ///< owner needs a space callback
@@ -153,7 +153,7 @@ class Network final : public Transport, public NetStats
     std::vector<Endpoint *> _endpoints;
 
     /** Combined replies refused at the endpoint, per node. */
-    std::vector<std::deque<PacketPtr>> _combineParked;
+    std::vector<Ring<PacketPtr>> _combineParked;
 
     std::uint64_t _nextPacketId = 1;
 };

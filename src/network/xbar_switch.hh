@@ -18,12 +18,12 @@
 #define CENJU_NETWORK_XBAR_SWITCH_HH
 
 #include <array>
-#include <deque>
 
 #include "network/gather_table.hh"
 #include "network/topology.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/ring.hh"
 #include "transport/net_config.hh"
 #include "transport/packet.hh"
 
@@ -129,7 +129,7 @@ class XbarSwitch
   private:
     struct Fifo
     {
-        std::deque<PacketPtr> q;
+        Ring<PacketPtr> q;
         unsigned reserved = 0;
 
         unsigned

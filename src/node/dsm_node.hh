@@ -16,7 +16,6 @@
 #ifndef CENJU_NODE_DSM_NODE_HH
 #define CENJU_NODE_DSM_NODE_HH
 
-#include <deque>
 #include <memory>
 
 #include "check/hooks.hh"
@@ -33,6 +32,7 @@
 #include "protocol/slave.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace cenju
@@ -194,9 +194,9 @@ class DsmNode : public Endpoint
     // transport's injection queue.
     // Held as PacketPtr so handing off to Transport::tryInject never
     // goes through a destroying temporary conversion.
-    std::deque<PacketPtr> _masterOut;
+    Ring<PacketPtr> _masterOut;
     PacketPtr _slaveOut; ///< single register
-    std::deque<PacketPtr> _homeOutHw;
+    Ring<PacketPtr> _homeOutHw;
     MsgQueue<PacketPtr> _homeOutMem;
     unsigned _outRR = 0;
 
@@ -205,7 +205,7 @@ class DsmNode : public Endpoint
     unsigned _homeReserved = 0;
 
     InlineFunction<void(PacketPtr)> _userHandler;
-    std::deque<PacketPtr> _userOut;
+    Ring<PacketPtr> _userOut;
 
     check::CheckHook *_checkHook = nullptr;
 

@@ -62,19 +62,6 @@ HomeModule::processNext()
     _node.eq().scheduleAfter(charge, [this] { processNext(); });
 }
 
-std::vector<Addr>
-HomeModule::pendingAddrs() const
-{
-    std::vector<Addr> addrs;
-    addrs.reserve(_pending.size());
-    // cenju-lint: allow(D003): sorted below — callers see an
-    // order independent of the table's hash layout.
-    for (const auto &[addr, op] : _pending)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    return addrs;
-}
-
 void
 HomeModule::faultReleaseDispatch()
 {

@@ -16,16 +16,15 @@
 #ifndef CENJU_PROTOCOL_HOME_HH
 #define CENJU_PROTOCOL_HOME_HH
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "directory/directory.hh"
 #include "memory/msg_queue.hh"
 #include "policy/policy.hh"
 #include "protocol/coh_msg.hh"
 #include "sim/hashing.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -93,9 +92,6 @@ class HomeModule : public HomeCtx, public HomeStats
     {
         return _pending.find(addr) != _pending.end();
     }
-
-    /** Addresses with an in-flight directory operation. */
-    std::vector<Addr> pendingAddrs() const;
 
     /** Invalidation rounds parked behind the busy gather unit. */
     std::size_t gatherBacklog() const { return _gatherWait.size(); }
@@ -204,8 +200,8 @@ class HomeModule : public HomeCtx, public HomeStats
      * between handleRequest() and parkConflictAt()/sendNack(). */
     QueuedReq _conflict{};
     std::unordered_map<Addr, PendingOp, U64MixHash> _pending;
-    std::deque<std::unique_ptr<CohPacket>> _input;
-    std::deque<WaitingMulticast> _gatherWait;
+    Ring<std::unique_ptr<CohPacket>> _input;
+    Ring<WaitingMulticast> _gatherWait;
     bool _busy = false;
     bool _gatherBusy = false;
     bool _stalledOnOutput = false;

@@ -560,13 +560,13 @@ MasterModule::replayDeferred(Addr block_addr)
 {
     // Snapshot the parked accesses for this block, then replay each
     // through the full path: it may hit now, miss again (evicted
-    // meanwhile), or merge behind a freshly issued request.
-    std::deque<Deferred> matching;
+    // meanwhile), or merge behind a freshly issued request. The
+    // snapshot allocates only when some access matches.
+    Ring<Deferred> matching;
     for (std::size_t i = 0; i < _deferred.size();) {
         if (_deferred[i].blockAddr == block_addr) {
             matching.push_back(std::move(_deferred[i]));
-            _deferred.erase(_deferred.begin() +
-                            static_cast<std::ptrdiff_t>(i));
+            _deferred.erase(i);
         } else {
             ++i;
         }

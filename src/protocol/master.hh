@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include "sim/inline_function.hh"
 #include <memory>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "policy/policy.hh"
 #include "protocol/cache.hh"
 #include "protocol/coh_msg.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "transport/combine.hh"
@@ -208,10 +208,10 @@ class MasterModule : public MasterCtx, public MasterStats
 
     DsmNode &_node;
     std::array<Mshr, maxOutstanding> _mshrs;
-    std::deque<Deferred> _deferred;
-    std::deque<PendingUpdate> _updates;
+    Ring<Deferred> _deferred;
+    Ring<PendingUpdate> _updates;
     bool _updateBusy = false;
-    std::deque<PendingAtomic> _atomics;
+    Ring<PendingAtomic> _atomics;
     bool _atomicBusy = false;
     std::uint32_t _atomicCookie = 0; ///< reply-matching sequence
 };

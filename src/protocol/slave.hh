@@ -13,11 +13,11 @@
 #ifndef CENJU_PROTOCOL_SLAVE_HH
 #define CENJU_PROTOCOL_SLAVE_HH
 
-#include <deque>
 #include <memory>
 
 #include "memory/msg_queue.hh"
 #include "protocol/coh_msg.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -69,7 +69,7 @@ class SlaveModule : public SlaveStats
     void emitReply(std::unique_ptr<CohPacket> pkt);
 
     DsmNode &_node;
-    std::deque<std::unique_ptr<CohPacket>> _hw;
+    Ring<std::unique_ptr<CohPacket>> _hw;
     MsgQueue<std::unique_ptr<CohPacket>> _mem;
     bool _busy = false;
     std::unique_ptr<CohPacket> _stalledReply;

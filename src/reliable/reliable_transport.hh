@@ -45,7 +45,6 @@
 #ifndef CENJU_RELIABLE_RELIABLE_TRANSPORT_HH
 #define CENJU_RELIABLE_RELIABLE_TRANSPORT_HH
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -53,6 +52,7 @@
 #include "sim/event_queue.hh"
 #include "sim/hashing.hh"
 #include "sim/inline_function.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "transport/collectives.hh"
 #include "transport/transport.hh"
@@ -197,7 +197,7 @@ class ReliableTransport final : public Transport, public ReliableStats
     /** Send half of one (src, dst) channel. */
     struct SendChan
     {
-        std::deque<Sent> unacked;
+        Ring<Sent> unacked;
         std::uint32_t nextSeq = 1;
         Tick rto = rtoBase;
         unsigned retries = 0;
@@ -217,7 +217,7 @@ class ReliableTransport final : public Transport, public ReliableStats
     /** Per-source state: normalized clones awaiting inner inject. */
     struct Tx
     {
-        std::deque<PacketPtr> wireQ;
+        Ring<PacketPtr> wireQ;
         bool wasFull = false; ///< upper endpoint needs a callback
         bool pumping = false; ///< re-entrancy guard
     };
@@ -226,7 +226,7 @@ class ReliableTransport final : public Transport, public ReliableStats
      * endpoint, plus in-progress software gather merges. */
     struct Rx
     {
-        std::deque<PacketPtr> upQ;
+        Ring<PacketPtr> upQ;
         bool pumping = false;
         GatherCountdown gathers;
     };

@@ -100,26 +100,34 @@ class StatGroup
 
     const std::string &name() const { return _name; }
 
+    /**
+     * Registration-ordered (name, statistic) pairs. A deque, not a
+     * vector or Ring: counter() and sampleStat() hand out references
+     * that must stay valid as later statistics register.
+     */
+    template <typename S>
+    // cenju-lint: allow(A006): needs reference stability; a cold,
+    // report-only path that no simulated event touches.
+    using Registry = std::deque<std::pair<std::string, S>>;
+
     /** All counters, in registration order. */
-    const std::deque<std::pair<std::string, Counter>> &
+    const Registry<Counter> &
     counters() const
     {
         return _counters;
     }
 
     /** All sample statistics, in registration order. */
-    const std::deque<std::pair<std::string, SampleStat>> &
+    const Registry<SampleStat> &
     sampleStats() const
     {
         return _samples;
     }
 
   private:
-    // Deques, not vectors: references returned by counter() and
-    // sampleStat() must stay valid as later statistics register.
     std::string _name;
-    std::deque<std::pair<std::string, Counter>> _counters;
-    std::deque<std::pair<std::string, SampleStat>> _samples;
+    Registry<Counter> _counters;
+    Registry<SampleStat> _samples;
 };
 
 } // namespace cenju

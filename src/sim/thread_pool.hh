@@ -132,6 +132,8 @@ class ThreadPool
     std::condition_variable _wake;
     std::condition_variable _idle;
     // cenju-lint: allow(A002): see submit() — host-side queue.
+    // cenju-lint: allow(A006): host-side job queue of the sweep
+    // runner, outside any simulation's event loop.
     std::deque<std::function<void()>> _jobs;
     std::size_t _outstanding = 0;
     std::exception_ptr _pendingError;

@@ -32,12 +32,12 @@
 #ifndef CENJU_TRANSPORT_SOFTWARE_HH
 #define CENJU_TRANSPORT_SOFTWARE_HH
 
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/hashing.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "transport/collectives.hh"
 #include "transport/net_config.hh"
@@ -150,9 +150,9 @@ class SoftwareTransport : public Transport
      */
     struct Injector
     {
-        std::deque<PacketPtr> q;
+        Ring<PacketPtr> q;
         /** Unicast expansion of the multicast in flight (direct). */
-        std::deque<PacketPtr> fanout;
+        Ring<PacketPtr> fanout;
         bool busy = false;
         bool wasFull = false; ///< owner needs a space callback
         std::uint64_t injected = 0;
@@ -169,7 +169,7 @@ class SoftwareTransport : public Transport
      */
     struct DeliveryPort
     {
-        std::deque<PacketPtr> q;
+        Ring<PacketPtr> q;
         bool busy = false;    ///< serialized processing in progress
         bool pumping = false; ///< re-entrancy guard
         std::uint64_t delivered = 0;

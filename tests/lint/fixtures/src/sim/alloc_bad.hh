@@ -1,4 +1,4 @@
-// Fixture: hot-path allocation rules (A001-A005) inside a
+// Fixture: hot-path allocation rules (A001-A006) inside a
 // pool-governed module (src/sim). One violation per marked line;
 // test_lint.cc asserts the exact (rule, line) pairs.
 #ifndef FIXTURE_ALLOC_BAD_HH
@@ -23,6 +23,7 @@ struct AllocBad
     std::function<void()> onDone;          // line 23: A002
     std::shared_ptr<int> shared = std::make_shared<int>(7); // line 24: A003
     std::unordered_map<std::uint32_t, int> table;           // line 25: A004
+    std::deque<int> backlog;                                // line 26: A006
     char *_buf = nullptr;
 };
 } // namespace cenju

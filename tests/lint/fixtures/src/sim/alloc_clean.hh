@@ -4,6 +4,7 @@
 #define FIXTURE_ALLOC_CLEAN_HH
 #include "sim/hashing.hh"
 #include "sim/inline_function.hh"
+#include "sim/ring.hh"
 #include "sim/types.hh"
 #include <memory>
 #include <unordered_map>
@@ -17,6 +18,7 @@ struct AllocClean
     std::unique_ptr<int> owned = std::make_unique<int>(7);
     std::unordered_map<std::uint32_t, int, U64MixHash> table;
     std::vector<char> buf = std::vector<char>(32);
+    Ring<int> backlog;
 };
 } // namespace cenju
 #endif

@@ -115,6 +115,7 @@ const std::multiset<Finding> kExpected = {
     {"src/sim/alloc_bad.hh", 23, "A002"},
     {"src/sim/alloc_bad.hh", 24, "A003"},
     {"src/sim/alloc_bad.hh", 25, "A004"},
+    {"src/sim/alloc_bad.hh", 26, "A006"},
     {"src/sim/det_bad.cc", 6, "D001"},
     {"src/sim/det_bad.cc", 7, "D001"},
     {"src/sim/det_bad.cc", 9, "D001"},
@@ -190,7 +191,7 @@ TEST(Lint, ListRulesNamesEveryRule)
         all += l + "\n";
     for (const char *id :
          {"L001", "L002", "L003", "A001", "A002", "A003", "A004",
-          "A005", "D001", "D002", "D003", "X001", "X002"})
+          "A005", "A006", "D001", "D002", "D003", "X001", "X002"})
         EXPECT_NE(all.find(id), std::string::npos)
             << "rule " << id << " missing from --list-rules";
 }

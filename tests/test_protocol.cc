@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "memory/address_map.hh"
@@ -286,6 +287,43 @@ TEST(Protocol, StoreToExclusiveIsSilentUpgrade)
     EXPECT_EQ(s.nodes[1]->sentCount(), sent_before);
     EXPECT_EQ(s.nodes[1]->cache().lookup(a)->state,
               CacheState::Modified);
+}
+
+TEST(Protocol, ParkedAccessesReplayInParkOrder)
+{
+    // Accesses to a block with a miss outstanding park behind it and
+    // replay when it completes. Block a's miss is local to node 1 and
+    // completes long before block b's remote one, so a's parked
+    // accesses must complete in park order, each load seeing the
+    // parked store before it, while b's stay parked until b's own
+    // miss completes.
+    Sys s(4);
+    Addr a = addr_map::makeShared(1, 0x100);
+    Addr b = addr_map::makeShared(3, 0x200);
+    MasterModule &m = s.nodes[1]->master();
+    std::vector<std::string> log;
+    auto store = [&](Addr addr, std::uint64_t v, const char *tag) {
+        m.store(addr, v, [&log, tag] { log.emplace_back(tag); });
+    };
+    auto load = [&](Addr addr, const char *tag) {
+        m.load(addr, [&log, tag](std::uint64_t v) {
+            log.push_back(std::string(tag) + "=" + std::to_string(v));
+        });
+    };
+
+    store(a, 1, "a.miss");
+    store(b, 2, "b.miss");
+    load(a, "a.ld");
+    store(b + 8, 3, "b.st");
+    store(a + 8, 4, "a.st");
+    load(b + 8, "b.ld");
+    load(a + 8, "a.ld2");
+    EXPECT_EQ(m.outstanding(), 2u);
+    s.eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"a.miss", "a.ld=1", "a.st",
+                                             "a.ld2=4", "b.miss", "b.st",
+                                             "b.ld=3"}));
+    s.checkInvariants();
 }
 
 TEST(Protocol, OwnershipRequestAvoidsDataTransfer)

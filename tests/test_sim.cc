@@ -1,18 +1,21 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, time
- * semantics, statistics, and RNG determinism.
+ * semantics, the Ring FIFO, statistics, and RNG determinism.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/object_pool.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -170,6 +173,174 @@ TEST(EventQueue, ExecutedCounts)
         eq.schedule(static_cast<Tick>(i), [] {});
     eq.run();
     EXPECT_EQ(eq.executed(), 5u);
+}
+
+/** Contents head first, through the ring's const iterators. */
+template <typename T>
+std::vector<T>
+contents(const Ring<T> &r)
+{
+    return std::vector<T>(r.begin(), r.end());
+}
+
+/**
+ * A ring of four slots whose head sits at slot 2 and whose elements
+ * @p vals wrap past the end of the storage (vals.size() <= 4).
+ */
+Ring<int>
+wrappedRing(const std::vector<int> &vals)
+{
+    Ring<int> r;
+    r.push_back(-1);
+    r.push_back(-2);
+    r.pop_front();
+    r.pop_front();
+    for (int v : vals)
+        r.push_back(v);
+    return r;
+}
+
+TEST(Ring, StartsEmpty)
+{
+    Ring<int> r;
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.size(), 0u);
+    EXPECT_EQ(r.begin(), r.end());
+}
+
+TEST(Ring, WrapsAround)
+{
+    Ring<int> r = wrappedRing({1, 2, 3, 4});
+    EXPECT_EQ(contents(r), (std::vector<int>{1, 2, 3, 4}));
+    for (int want = 1; want <= 4; ++want) {
+        EXPECT_EQ(r.front(), want);
+        r.pop_front();
+    }
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, GrowsWhileWrappedKeepingOrder)
+{
+    Ring<int> r = wrappedRing({1, 2, 3, 4});
+    for (int v = 5; v <= 9; ++v)
+        r.push_back(v); // doubles twice: to 8 slots, then 16
+    EXPECT_EQ(contents(r),
+              (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+    for (std::size_t i = 0; i < r.size(); ++i)
+        EXPECT_EQ(r[i], int(i) + 1);
+}
+
+TEST(Ring, InsertAtHeadMiddleAndTail)
+{
+    Ring<int> r = wrappedRing({1, 2, 3});
+    r.insert(0, 10);
+    EXPECT_EQ(contents(r), (std::vector<int>{10, 1, 2, 3}));
+    r.insert(2, 20); // grows: the ring was full and wrapped
+    EXPECT_EQ(contents(r), (std::vector<int>{10, 1, 20, 2, 3}));
+    r.insert(r.size(), 30);
+    EXPECT_EQ(contents(r), (std::vector<int>{10, 1, 20, 2, 3, 30}));
+    EXPECT_EQ(r.front(), 10);
+}
+
+TEST(Ring, EraseAtHeadMiddleAndTail)
+{
+    Ring<int> r = wrappedRing({1, 2, 3, 4});
+    r.erase(0);
+    EXPECT_EQ(contents(r), (std::vector<int>{2, 3, 4}));
+    r.push_back(5);
+    r.erase(1);
+    EXPECT_EQ(contents(r), (std::vector<int>{2, 4, 5}));
+    r.erase(r.size() - 1);
+    EXPECT_EQ(contents(r), (std::vector<int>{2, 4}));
+    r.push_back(6);
+    EXPECT_EQ(contents(r), (std::vector<int>{2, 4, 6}));
+}
+
+TEST(Ring, IteratesHeadFirst)
+{
+    Ring<int> r = wrappedRing({1, 2, 3, 4});
+    std::vector<int> seen;
+    for (int &v : r) {
+        v *= 10;
+        seen.push_back(v);
+    }
+    EXPECT_EQ(seen, (std::vector<int>{10, 20, 30, 40}));
+    const Ring<int> &cr = r;
+    EXPECT_EQ(contents(cr), seen);
+}
+
+/** Move-only element that counts its live instances. */
+struct Tracked
+{
+    static int live;
+
+    explicit Tracked(int v) : value(std::make_unique<int>(v)) { ++live; }
+    Tracked(Tracked &&o) noexcept : value(std::move(o.value)) { ++live; }
+    Tracked &operator=(Tracked &&o) noexcept = default;
+    ~Tracked() { --live; }
+
+    std::unique_ptr<int> value;
+};
+int Tracked::live = 0;
+
+TEST(Ring, HoldsMoveOnlyElementsAndDestroysThem)
+{
+    {
+        Ring<Tracked> r;
+        for (int v = 0; v < 6; ++v)
+            r.push_back(Tracked(v));
+        r.pop_front();
+        r.insert(1, Tracked(100));
+        r.erase(3);
+        std::vector<int> got;
+        for (const Tracked &t : r)
+            got.push_back(*t.value);
+        EXPECT_EQ(got, (std::vector<int>{1, 100, 2, 4, 5}));
+        EXPECT_EQ(Tracked::live, 5);
+
+        Ring<Tracked> moved(std::move(r));
+        EXPECT_EQ(moved.size(), 5u);
+        EXPECT_EQ(*moved.front().value, 1);
+        r = std::move(moved);
+        EXPECT_EQ(r.size(), 5u);
+        EXPECT_EQ(Tracked::live, 5);
+    }
+    EXPECT_EQ(Tracked::live, 0);
+}
+
+TEST(Ring, MatchesDequeUnderSeededRandomOps)
+{
+    Rng rng(20260517);
+    Ring<int> r;
+    std::deque<int> d;
+    for (int op = 0; op < 20000; ++op) {
+        std::uint64_t kind = rng.below(8);
+        if (kind < 3 || d.empty()) {
+            r.push_back(op);
+            d.push_back(op);
+        } else if (kind < 5) {
+            r.pop_front();
+            d.pop_front();
+        } else if (kind < 7) {
+            std::size_t pos = rng.below(d.size() + 1);
+            r.insert(pos, op);
+            d.insert(d.begin() + std::ptrdiff_t(pos), op);
+        } else {
+            std::size_t pos = rng.below(d.size());
+            r.erase(pos);
+            d.erase(d.begin() + std::ptrdiff_t(pos));
+        }
+        ASSERT_EQ(r.size(), d.size()) << "op " << op;
+        if (!d.empty()) {
+            ASSERT_EQ(r.front(), d.front()) << "op " << op;
+        }
+        if (op % 64 == 0) {
+            ASSERT_TRUE(std::equal(r.begin(), r.end(), d.begin(),
+                                   d.end()))
+                << "op " << op;
+        }
+    }
+    EXPECT_TRUE(std::equal(r.begin(), r.end(), d.begin(), d.end()));
 }
 
 TEST(SampleStat, Moments)

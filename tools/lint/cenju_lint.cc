@@ -51,7 +51,7 @@ namespace fs = std::filesystem;
 namespace
 {
 
-constexpr const char *kCatalogVersion = "5";
+constexpr const char *kCatalogVersion = "6";
 
 // ---------------------------------------------------------------
 // Rule catalog
@@ -80,6 +80,8 @@ const RuleInfo kRules[] = {
              "without U64MixHash (src/sim/hashing.hh)"},
     {"A005", "naked new/delete in a pool-governed module; use "
              "Pooled<T>, make_unique, or containers"},
+    {"A006", "std::deque in a pool-governed module; use Ring "
+             "(src/sim/ring.hh)"},
     {"D001", "nondeterministic source (rand/time/random_device/"
              "chrono clocks) in simulation code"},
     {"D002", "pointer-keyed associative container: iteration order "
@@ -647,6 +649,15 @@ scanAllocRules(FileReport &rep, const ScanContext &ctx,
                 break;
             }
         }
+
+        // A006: std::deque allocates a node and a map as soon as it
+        // is constructed; the simulated path has one FIFO, Ring.
+        if (findWord(code, "deque") != std::string::npos &&
+            code.find("std::deque") != std::string::npos)
+            addDiag(rep, ctx, ln, "A006",
+                    "std::deque allocates on construction; use Ring "
+                    "(src/sim/ring.hh), which allocates on first push",
+                    lines[i]);
     }
 }
 
