@@ -53,7 +53,7 @@ main()
                 : v == Variant::Dsm2        ? p.dsm2
                                             : p.mpi;
             std::printf("%6s %8s %12zu %12zu %9.2f %9.2f\n",
-                        appKindName(p.app), variantName(v),
+                        nameOf(p.app), nameOf(v),
                         d.baseLines, d.added, d.rewritingRatio(),
                         ppr);
         }

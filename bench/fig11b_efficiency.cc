@@ -58,7 +58,7 @@ main()
                 : v == Variant::Dsm2        ? p.dsm2
                                             : p.mpi;
             std::printf("%6s %6u %9s %9.2f %10.2f %9.2f %10.2f\n",
-                        appKindName(p.app), nodes, variantName(v),
+                        nameOf(p.app), nodes, nameOf(v),
                         eff, eff_nomap, ppr, r.execTime / 1e6);
         }
     }

@@ -20,7 +20,7 @@ main()
         unsigned max_nodes = appMaxNodes(app);
         NpbConfig cfg = appConfig(app);
         Tick tseq = seqTime(app, cfg);
-        std::printf("\n%s (seq %.2f ms)\n", appKindName(app),
+        std::printf("\n%s (seq %.2f ms)\n", nameOf(app),
                     tseq / 1e6);
         std::printf("%8s %12s %10s %10s\n", "nodes", "time(ms)",
                     "speedup", "eff");

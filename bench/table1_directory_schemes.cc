@@ -43,7 +43,7 @@ hardwareCostRows()
         unsigned b256 = makeNodeMap(r.kind, 256)->storageBits();
         unsigned b1024 = makeNodeMap(r.kind, 1024)->storageBits();
         std::printf("%-24s %14u %14u %14u %10s\n",
-                    nodeMapKindName(r.kind), b64, b256, b1024,
+                    nameOf(r.kind), b64, b256, b1024,
                     r.growth);
     }
     std::printf("  (*) 42-bit bit-pattern covers the full 1024-node "

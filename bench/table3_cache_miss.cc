@@ -63,7 +63,7 @@ main()
         std::printf(
             "%-3s %-5s%-7s | %7.2f%% / %5.2f%% | %7.1f %8.1f "
             "%8.1f | %7.1f %8.1f %8.1f\n",
-            appKindName(p.app), variantName(p.variant),
+            nameOf(p.app), nameOf(p.variant),
             p.mappings ? "" : " (nm)", 100 * r.missRatio(),
             p.ratio, 100 * r.missPrivate / m,
             100 * r.missSharedLocal / m,

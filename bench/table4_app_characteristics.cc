@@ -29,7 +29,7 @@ row(AppKind app, unsigned nodes)
     std::printf(
         "%-3s %5u %10.3f %6s %7.2f%% | %8.1fM %8.1fM | %5.1f "
         "%5.1f %5.1f | %5.2f%% | %5.1f %5.1f %5.1f\n",
-        appKindName(app), nodes, r.execTime / 1e6, "-",
+        nameOf(app), nodes, r.execTime / 1e6, "-",
         100 * r.syncFraction(nodes),
         r.instructions / 1e6 / nodes,
         r.memAccesses / 1e6 / nodes, 100 * r.accPrivate / acc,

@@ -35,9 +35,6 @@ enum class StepKind : std::uint8_t
     NetworkDeliver, ///< network handed a packet to an endpoint
 };
 
-/** Printable step-kind name. */
-const char *stepKindName(StepKind k);
-
 /** Observer attached to nodes and the network. */
 class CheckHook
 {

@@ -7,24 +7,6 @@
 namespace cenju::check
 {
 
-const char *
-stepKindName(StepKind k)
-{
-    switch (k) {
-      case StepKind::HomeDispatch:
-        return "home-dispatch";
-      case StepKind::MasterGrant:
-        return "master-grant";
-      case StepKind::MasterIssue:
-        return "master-issue";
-      case StepKind::SlaveServe:
-        return "slave-serve";
-      case StepKind::NetworkDeliver:
-        return "network-deliver";
-    }
-    return "?";
-}
-
 RuntimeChecker::RuntimeChecker(std::vector<DsmNode *> nodes,
                                OnViolation mode)
     : _nodes(std::move(nodes)), _mode(mode)
@@ -90,7 +72,7 @@ RuntimeChecker::checkAddr(Addr addr)
         os << what << " home " << h << " block 0x" << std::hex
            << block_addr << std::dec;
         if (e)
-            os << " state " << memStateName(e->state());
+            os << " state " << nameOf(e->state());
         return os.str();
     };
 

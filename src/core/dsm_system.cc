@@ -190,8 +190,9 @@ PrivArray
 DsmSystem::shmAllocReplicated(std::size_t words)
 {
     PrivArray arr = privAlloc(words);
-    _cfg.proto.replicatedRanges->emplace_back(
-        arr.addrOf(0), arr.addrOf(0) + words * 8);
+    Addr lo = arr.addrOf(0);
+    for (auto &n : _nodes)
+        n->addReplicatedRange(lo, lo + words * 8);
     return arr;
 }
 
@@ -204,8 +205,9 @@ DsmSystem::shmAllocCombinable(std::size_t words, NodeId home)
     ShmArray arr = shmAlloc(words, Mapping::onNode(home));
     // An on-node array is contiguous in the shared address space,
     // so one range covers every word.
-    _cfg.proto.combinableRanges->emplace_back(
-        arr.addrOf(0), arr.addrOf(0) + words * 8);
+    Addr lo = arr.addrOf(0);
+    for (auto &n : _nodes)
+        n->addCombinableRange(lo, lo + words * 8);
     return arr;
 }
 

@@ -92,7 +92,7 @@ struct SystemConfig
      */
     unsigned shards = 1;
 
-    /** Protocol, cache and timing parameters. */
+    /** Protocol and cache parameters. */
     ProtocolConfig proto;
 };
 
@@ -265,7 +265,7 @@ class DsmSystem
     RunStats collectStats() const;
 
   private:
-    SystemConfig _cfg;
+    const SystemConfig _cfg;
     EventQueue _eq;
     /** Set when cfg.shards clamps above 1 on a shardable backend. */
     std::unique_ptr<shard::ShardedEngine> _sharded;

@@ -25,6 +25,7 @@
 #include "msgpass/msg_engine.hh"
 #include "node/dsm_node.hh"
 #include "sim/stats.hh"
+#include "sim/timing.hh"
 #include "sim/types.hh"
 #include "transport/combine.hh"
 
@@ -269,7 +270,7 @@ class Env : public EnvStats
     {
         instructions += instrs;
         return issue<void>(&computeTime, [this, instrs](auto done) {
-            Tick t = instrs * _node.timing().nsPerInstruction;
+            Tick t = instrs * timing::nsPerInstruction;
             _node.eq().scheduleAfter(t, done);
         });
     }

@@ -5,24 +5,6 @@
 namespace cenju
 {
 
-const char *
-memStateName(MemState s)
-{
-    switch (s) {
-      case MemState::Clean:
-        return "C";
-      case MemState::Dirty:
-        return "D";
-      case MemState::PendingShared:
-        return "Ps";
-      case MemState::PendingExclusive:
-        return "Pe";
-      case MemState::PendingInvalidate:
-        return "Pi";
-    }
-    return "?";
-}
-
 std::uint64_t
 packEntry(MemState state, bool reservation, const CenjuNodeMap &map)
 {

@@ -15,11 +15,13 @@
 #ifndef CENJU_DIRECTORY_ENTRY_HH
 #define CENJU_DIRECTORY_ENTRY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
 #include "directory/cenju_node_map.hh"
 #include "directory/node_map.hh"
+#include "sim/text.hh"
 
 namespace cenju
 {
@@ -46,8 +48,12 @@ isPending(MemState s)
            s == MemState::PendingInvalidate;
 }
 
-/** Printable state name. */
-const char *memStateName(MemState s);
+/** State names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(MemState)
+{
+    return std::array{"C", "D", "Ps", "Pe", "Pi"};
+}
 
 /** Working form of one directory entry. */
 class DirectoryEntry

@@ -10,24 +10,6 @@
 namespace cenju
 {
 
-const char *
-nodeMapKindName(NodeMapKind kind)
-{
-    switch (kind) {
-      case NodeMapKind::CenjuPointerBitPattern:
-        return "pointer+bit-pattern";
-      case NodeMapKind::CoarseVector:
-        return "coarse vector";
-      case NodeMapKind::HierarchicalBitmap:
-        return "hierarchical bitmap";
-      case NodeMapKind::FullMap:
-        return "full map";
-      case NodeMapKind::PointerCoarseVector:
-        return "pointer+coarse vector";
-    }
-    return "unknown";
-}
-
 std::unique_ptr<NodeMap>
 makeNodeMap(NodeMapKind kind, unsigned num_nodes)
 {

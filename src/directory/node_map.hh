@@ -13,10 +13,12 @@
 #ifndef CENJU_DIRECTORY_NODE_MAP_HH
 #define CENJU_DIRECTORY_NODE_MAP_HH
 
+#include <array>
 #include <memory>
 #include <string>
 
 #include "directory/node_set.hh"
+#include "sim/text.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -32,8 +34,14 @@ enum class NodeMapKind
     PointerCoarseVector,    ///< 4 pointers -> coarse vector (Origin)
 };
 
-/** Printable name of a scheme kind. */
-const char *nodeMapKindName(NodeMapKind kind);
+/** Scheme names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(NodeMapKind)
+{
+    return std::array{"pointer+bit-pattern", "coarse vector",
+                      "hierarchical bitmap", "full map",
+                      "pointer+coarse vector"};
+}
 
 /** Record of nodes caching a block; may over-approximate. */
 class NodeMap

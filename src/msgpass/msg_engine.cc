@@ -1,5 +1,7 @@
 #include "msgpass/msg_engine.hh"
 
+#include "sim/timing.hh"
+
 namespace cenju
 {
 
@@ -20,7 +22,6 @@ MsgEngine::send(NodeId dst, int tag,
                 InlineFunction<void(), 40> done)
 {
     shard::assertOnOwnerShard(_node.shard(), _node.id());
-    const TimingParams &tp = _node.timing();
     if (bytes == 0)
         bytes = static_cast<unsigned>(payload.size() * 8);
 
@@ -37,7 +38,7 @@ MsgEngine::send(NodeId dst, int tag,
     // Software send overhead occupies the sender, then the message
     // enters the network.
     _node.eq().scheduleAfter(
-        tp.mpiSendOverhead,
+        timing::mpiSendOverhead,
         [this, p = std::move(pkt),
          done = std::move(done)]() mutable {
             _node.sendUser(std::move(p));
@@ -82,11 +83,10 @@ MsgEngine::recv(NodeId src, int tag, RecvCallback done)
 void
 MsgEngine::complete(const Arrived &msg, RecvCallback done)
 {
-    const TimingParams &tp = _node.timing();
     Tick xfer = static_cast<Tick>(
-        static_cast<double>(msg.bytes) / tp.mpiBytesPerNs);
+        static_cast<double>(msg.bytes) / timing::mpiBytesPerNs);
     _node.eq().scheduleAfter(
-        tp.mpiRecvOverhead + xfer,
+        timing::mpiRecvOverhead + xfer,
         [done = std::move(done), payload = msg.payload]() mutable {
             done(std::move(payload));
         });

@@ -99,7 +99,7 @@ Network::tryInject(PacketPtr &&pkt)
         pkt->packetId = _nextPacketId++;
         ++injected;
         int top = static_cast<int>(_topo.stages()) - 1;
-        _eq.scheduleAfter(_cfg.injectLatency,
+        _eq.scheduleAfter(injectLatency,
                           [this, top, p = std::move(pkt)]() mutable {
                               descendReply(std::move(p), top);
                           });
@@ -143,13 +143,13 @@ Network::pumpInjector(NodeId n)
     inj.q.pop_front();
     inj.busy = true;
 
-    Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
+    Tick occ = portOccupancy(pkt->sizeBytes);
     _eq.scheduleAfter(
-        _cfg.injectLatency,
+        injectLatency,
         [&sw0, port = inj.swPort, p = std::move(pkt)]() mutable {
             sw0.commit(port, std::move(p));
         });
-    _eq.scheduleAfter(std::max(occ, _cfg.injectLatency),
+    _eq.scheduleAfter(std::max(occ, injectLatency),
                       [this, n] {
                           Injector &i2 = _injectors[n];
                           i2.busy = false;
@@ -171,7 +171,7 @@ Network::descendReply(PacketPtr pkt, int stage)
     NodeId requester = pkt->dest.unicastDest();
     if (stage < 0) {
         _eq.scheduleAfter(
-            _cfg.ejectLatency,
+            ejectLatency,
             [this, requester, p = std::move(pkt)]() mutable {
                 deliverCombinedReply(requester, std::move(p));
             });
@@ -183,8 +183,8 @@ Network::descendReply(PacketPtr pkt, int stage)
     unsigned s = static_cast<unsigned>(stage);
     CombineTable &table =
         switchAt(s, _topo.row(requester, pkt->src, s)).combineTable();
-    Tick delay = _cfg.stageLatency +
-                 _cfg.gatherMergeLatency *
+    Tick delay = stageLatency +
+                 gatherMergeLatency *
                      Tick(table.matches(pkt->combineTicket));
     table.take(pkt->combineTicket, [&](const CombineRecord &r) {
         ++combineDecombined;

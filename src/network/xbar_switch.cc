@@ -103,7 +103,7 @@ XbarSwitch::commit(unsigned in_port, PacketPtr pkt)
         ++_net.gatherForwarded;
         // Forward the last reply after the merge overhead.
         unsigned out = std::countr_zero(outs);
-        _eq.scheduleAfter(_cfg.gatherMergeLatency,
+        _eq.scheduleAfter(gatherMergeLatency,
                           [this, in_port, out,
                            p = std::move(pkt)]() mutable {
                               enqueue(in_port, out, std::move(p));
@@ -245,14 +245,14 @@ XbarSwitch::arbitrate(unsigned out)
             PacketPtr pkt = std::move(f.q.front());
             f.q.pop_front();
             _rr[out] = (in + 1) % switchRadix;
-            Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
+            Tick occ = portOccupancy(pkt->sizeBytes);
             _busy[out] = true;
             _eq.scheduleAfter(occ, [this, out] {
                 _busy[out] = false;
                 arbitrate(out);
             });
             _eq.scheduleAfter(
-                _cfg.stageLatency + _cfg.ejectLatency,
+                stageLatency + ejectLatency,
                 [this, node, p = std::move(pkt)]() mutable {
                     _net.ejectDeliver(node, std::move(p));
                 });
@@ -270,14 +270,14 @@ XbarSwitch::arbitrate(unsigned out)
         PacketPtr pkt = std::move(f.q.front());
         f.q.pop_front();
         _rr[out] = (in + 1) % switchRadix;
-        Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
+        Tick occ = portOccupancy(pkt->sizeBytes);
         _busy[out] = true;
         _eq.scheduleAfter(occ, [this, out] {
             _busy[out] = false;
             arbitrate(out);
         });
         _eq.scheduleAfter(
-            _cfg.stageLatency,
+            stageLatency,
             [down, dport, p = std::move(pkt)]() mutable {
                 down->commit(dport, std::move(p));
             });

@@ -1,12 +1,14 @@
 #include "node/dsm_node.hh"
 
+#include "sim/timing.hh"
+
 namespace cenju
 {
 
 DsmNode::DsmNode(EventQueue &eq, Transport &net, NodeId id,
                  const ProtocolConfig &cfg)
     : _eq(eq), _net(net), _id(id), _cfg(cfg),
-      _cache(cfg.cacheBytes, cfg.cacheAssoc),
+      _cache(cfg.cacheBytes),
       _policy(makePolicy(cfg.protocol)), _master(*this),
       _home(*this), _slave(*this),
       _homeOutMem("home.outQueue",
@@ -32,7 +34,7 @@ DsmNode::dispatch(std::unique_ptr<CohPacket> pkt)
         _home.enqueueInput(std::move(pkt));
     } else {
         panic("node %u: unroutable message %s", _id,
-              cohMsgTypeName(pkt->type));
+              nameOf(pkt->type));
     }
 }
 
@@ -175,7 +177,7 @@ DsmNode::pumpOutput()
             if (!_homeOutMem.empty()) {
                 // Promote one parked message from main memory.
                 _eq.scheduleAfter(
-                    _cfg.timing.memoryQueueAccess, [this] {
+                    timing::memoryQueueAccess, [this] {
                         if (!_homeOutMem.empty() &&
                             _homeOutHw.size() <
                                 _cfg.homeHwOutBuffer) {

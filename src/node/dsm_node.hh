@@ -17,6 +17,8 @@
 #define CENJU_NODE_DSM_NODE_HH
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "check/hooks.hh"
 #include "memory/address_map.hh"
@@ -63,7 +65,6 @@ class DsmNode : public Endpoint
     EventQueue &eq() { return _eq; }
     Transport &transport() { return _net; }
     const ProtocolConfig &cfg() const { return _cfg; }
-    const TimingParams &timing() const { return _cfg.timing; }
 
     Cache &cache() { return _cache; }
     MainMemory &sharedMem() { return _sharedMem; }
@@ -75,6 +76,47 @@ class DsmNode : public Endpoint
 
     /** This node's coherence-policy backend (src/policy/). */
     CoherencePolicy &policy() { return *_policy; }
+
+    // --- address ranges declared as DsmSystem allocates them -------
+
+    /**
+     * Mark private [@p lo, @p hi) as a replicated (update-protocol)
+     * array, the paper's future-work extension: the per-node local
+     * copies are kept coherent by multicast word updates instead of
+     * invalidations, so loads are always satisfied locally.
+     */
+    void
+    addReplicatedRange(Addr lo, Addr hi)
+    {
+        _replicated.emplace_back(lo, hi);
+    }
+
+    /** True if private address @p a lies in a replicated range. */
+    bool
+    isReplicated(Addr a) const
+    {
+        return inRanges(_replicated, a);
+    }
+
+    /**
+     * Mark shared [@p lo, @p hi) as combinable synchronization words
+     * (ROADMAP item 4): operated on only through typed atomics
+     * (fetch-add/min/max/swap), never cached, so the home applies
+     * them directly to memory with no directory action and the
+     * network may merge concurrent requests in flight.
+     */
+    void
+    addCombinableRange(Addr lo, Addr hi)
+    {
+        _combinable.emplace_back(lo, hi);
+    }
+
+    /** True if shared address @p a lies in a combinable range. */
+    bool
+    isCombinable(Addr a) const
+    {
+        return inRanges(_combinable, a);
+    }
 
     // --- module output paths --------------------------------------
 
@@ -167,6 +209,19 @@ class DsmNode : public Endpoint
     }
 
   private:
+    /** Half-open address ranges [lo, hi). */
+    using Ranges = std::vector<std::pair<Addr, Addr>>;
+
+    static bool
+    inRanges(const Ranges &ranges, Addr a)
+    {
+        for (const auto &[lo, hi] : ranges) {
+            if (a >= lo && a < hi)
+                return true;
+        }
+        return false;
+    }
+
     /** Dispatch a protocol message to the right module. */
     void dispatch(std::unique_ptr<CohPacket> pkt);
 
@@ -177,6 +232,8 @@ class DsmNode : public Endpoint
     NodeId _id;
     unsigned _shard = shard::kNoShard; ///< owner in sharded runs
     ProtocolConfig _cfg;
+    Ranges _replicated;
+    Ranges _combinable;
 
     Cache _cache;
     MainMemory _privateMem;

@@ -3,26 +3,8 @@
 namespace cenju
 {
 
-const char *
-cacheStateName(CacheState s)
+Cache::Cache(unsigned bytes)
 {
-    switch (s) {
-      case CacheState::Invalid:
-        return "I";
-      case CacheState::Shared:
-        return "S";
-      case CacheState::Exclusive:
-        return "E";
-      case CacheState::Modified:
-        return "M";
-    }
-    return "?";
-}
-
-Cache::Cache(unsigned bytes, unsigned assoc) : _assoc(assoc)
-{
-    if (assoc == 0)
-        fatal("cache associativity must be positive");
     unsigned lines = bytes / blockBytes;
     if (lines < assoc)
         fatal("cache of %u bytes too small for %u ways", bytes,
@@ -57,7 +39,7 @@ Cache::lookup(Addr addr)
     if (!base)
         return nullptr; // untouched set: nothing valid in it
     Addr tag = blockBase(addr);
-    for (unsigned w = 0; w < _assoc; ++w) {
+    for (unsigned w = 0; w < assoc; ++w) {
         CacheLine &line = base[w];
         if (line.valid() && line.tag == tag)
             return &line;
@@ -76,10 +58,10 @@ Cache::allocate(Addr addr)
 {
     auto &slot = _setLines[setIndex(addr)];
     if (!slot)
-        slot = std::make_unique<CacheLine[]>(_assoc);
+        slot = std::make_unique<CacheLine[]>(assoc);
     CacheLine *base = slot.get();
     CacheLine *victim = nullptr;
-    for (unsigned w = 0; w < _assoc; ++w) {
+    for (unsigned w = 0; w < assoc; ++w) {
         CacheLine &line = base[w];
         if (!line.valid() && !line.pinned)
             return &line;
@@ -98,7 +80,7 @@ Cache::validLines() const
     for (const auto &slot : _setLines) {
         if (!slot)
             continue;
-        for (unsigned w = 0; w < _assoc; ++w)
+        for (unsigned w = 0; w < assoc; ++w)
             n += slot[w].valid();
     }
     return n;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Secondary cache model: set-associative, 128-byte lines, LRU
+ * Secondary cache model: 2-way set-associative, 128-byte lines, LRU
  * replacement, MESI states, functional data.
  *
  * One cache per node, shared by the master module (processor side)
@@ -33,9 +33,6 @@ enum class CacheState : std::uint8_t
     Modified,
 };
 
-/** Printable state name. */
-const char *cacheStateName(CacheState s);
-
 /** One cache line. */
 struct CacheLine
 {
@@ -48,15 +45,15 @@ struct CacheLine
     bool valid() const { return state != CacheState::Invalid; }
 };
 
-/** Set-associative write-back cache. */
+/** Two-way set-associative write-back cache. */
 class Cache
 {
   public:
-    /**
-     * @param bytes total capacity
-     * @param assoc ways per set
-     */
-    Cache(unsigned bytes, unsigned assoc);
+    /** Ways per set (R10000 secondary cache: 2-way). */
+    static constexpr unsigned assoc = 2;
+
+    /** @param bytes total capacity */
+    explicit Cache(unsigned bytes);
 
     /** Line holding @p addr's block, or nullptr. */
     CacheLine *lookup(Addr addr);
@@ -78,8 +75,7 @@ class Cache
     }
 
     unsigned sets() const { return _sets; }
-    unsigned assoc() const { return _assoc; }
-    unsigned lineCount() const { return _sets * _assoc; }
+    unsigned lineCount() const { return _sets * assoc; }
 
     /** Lines currently valid (footprint, for tests). */
     unsigned validLines() const;
@@ -91,7 +87,6 @@ class Cache
     CacheLine *setBase(Addr addr);
 
     unsigned _sets;
-    unsigned _assoc;
     std::uint64_t _useClock = 0;
 
     /**

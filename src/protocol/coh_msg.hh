@@ -12,12 +12,14 @@
 #ifndef CENJU_PROTOCOL_COH_MSG_HH
 #define CENJU_PROTOCOL_COH_MSG_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
 #include "memory/main_memory.hh"
 #include "transport/packet.hh"
 #include "sim/object_pool.hh"
+#include "sim/text.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -64,8 +66,19 @@ enum class CohMsgType : std::uint8_t
     AtomicReply, ///< home -> master: old value, decombined en route
 };
 
-/** Printable message-type name. */
-const char *cohMsgTypeName(CohMsgType t);
+/** Message-type names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(CohMsgType)
+{
+    return std::array{
+        "ReadShared",     "ReadExclusive",  "Ownership",
+        "WriteBack",      "FwdReadShared",  "FwdReadExclusive",
+        "Invalidate",     "SlaveAck",       "SlaveData",
+        "InvAck",         "GrantShared",    "GrantExclusive",
+        "GrantModified",  "GrantOwnership", "Nack",
+        "UpdateWrite",    "UpdateAck",      "AtomicOp",
+        "AtomicReply"};
+}
 
 /** True for the four master-originated request types. */
 constexpr bool

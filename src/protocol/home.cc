@@ -4,6 +4,7 @@
 
 #include "directory/cenju_node_map.hh"
 #include "node/dsm_node.hh"
+#include "sim/timing.hh"
 
 namespace cenju
 {
@@ -32,7 +33,7 @@ void
 HomeModule::enqueueInput(std::unique_ptr<CohPacket> pkt)
 {
     _input.push_back(std::move(pkt));
-    if (!_busy && !_stalledOnOutput)
+    if (!_busy && _refused.empty())
         processNext();
 }
 
@@ -45,7 +46,7 @@ HomeModule::processNext()
         _busy = false;
         return;
     }
-    if (_stalledOnOutput || _input.empty()) {
+    if (!_refused.empty() || _input.empty()) {
         _busy = false;
         return;
     }
@@ -68,7 +69,7 @@ HomeModule::faultReleaseDispatch()
     if (_dispatchHolds == 0)
         panic("home %u: unbalanced dispatch hold release",
               _node.id());
-    if (--_dispatchHolds == 0 && !_busy && !_stalledOnOutput)
+    if (--_dispatchHolds == 0 && !_busy && _refused.empty())
         processNext();
 }
 
@@ -89,8 +90,17 @@ HomeModule::faultReleaseGather()
 void
 HomeModule::outputSpaceAvailable()
 {
-    if (_stalledOnOutput)
-        return; // node clears the flag via the emit path
+    // Resend the refused packets in emit order before dispatch
+    // resumes. Pop before sending: an accepted packet pumps the
+    // node's output, which calls back in here.
+    while (!_refused.empty()) {
+        std::unique_ptr<CohPacket> p = std::move(_refused.front());
+        _refused.pop_front();
+        if (!_node.trySendFromHome(p)) {
+            _refused.insert(0, std::move(p));
+            return;
+        }
+    }
     if (!_busy)
         processNext();
 }
@@ -100,16 +110,12 @@ HomeModule::emitAt(Tick t, std::unique_ptr<CohPacket> pkt)
 {
     _node.eq().scheduleAfter(
         t, [this, p = std::move(pkt)]() mutable {
-            if (!_node.trySendFromHome(p)) {
-                // Ablation mode: bounded output is full. The node
-                // holds the packet; stop consuming input until the
-                // node drains (the Figure 9 home->network edge).
-                _stalledOnOutput = true;
-            } else if (_stalledOnOutput) {
-                _stalledOnOutput = false;
-                if (!_busy)
-                    processNext();
-            }
+            // Ablation mode: the bounded output refuses when full.
+            // Park the packet behind any refused earlier and stop
+            // consuming input until the node drains (the Figure 9
+            // home->network edge).
+            if (!_refused.empty() || !_node.trySendFromHome(p))
+                _refused.push_back(std::move(p));
         });
 }
 
@@ -132,7 +138,7 @@ HomeModule::dispatch(CohPacket &pkt)
         return handleAtomic(pkt, 0);
       default:
         panic("home %u: bad message %s", _node.id(),
-              cohMsgTypeName(pkt.type));
+              nameOf(pkt.type));
     }
 }
 
@@ -143,11 +149,11 @@ HomeModule::handleAtomic(const CohPacket &pkt, Tick t)
     // In-fabric combining means a 1024-requester storm reaches this
     // point only once per *merged* packet, so the home's serialized
     // occupancy scales with network stages, not participants.
-    if (!_node.cfg().isCombinable(pkt.addr))
+    if (!_node.isCombinable(pkt.addr))
         panic("home %u: AtomicOp on non-combinable address %#llx",
               _node.id(),
               static_cast<unsigned long long>(pkt.addr));
-    t += _node.timing().memoryAccess;
+    t += timing::memoryAccess;
     Addr off = addr_map::offset(pkt.addr);
     std::uint64_t old = _node.sharedMem().readWord(off);
     _node.sharedMem().writeWord(
@@ -171,7 +177,7 @@ HomeModule::handleAtomic(const CohPacket &pkt, Tick t)
 Tick
 HomeModule::handleRequest(const CohPacket &pkt, Tick t)
 {
-    t += _node.timing().directoryAccess;
+    t += timing::directoryAccess;
     DirectoryEntry &e = entryFor(pkt.addr);
 
     if (isPending(e.state())) {
@@ -215,7 +221,7 @@ HomeModule::parkedAddrAt(std::size_t i)
 Tick
 HomeModule::parkConflictAt(std::size_t pos, Tick t)
 {
-    t += _node.timing().memoryQueueAccess;
+    t += timing::memoryQueueAccess;
     _reqQueue.insertAt(pos, _conflict);
     ++requestsQueued;
     queueWaitDepth.sample(static_cast<double>(_reqQueue.size()));
@@ -255,9 +261,9 @@ Tick
 HomeModule::serveHead(Tick t)
 {
     QueuedReq req = _reqQueue.pop();
-    t += _node.timing().memoryQueueAccess;
+    t += timing::memoryQueueAccess;
     return handleRequestAs(req.type, req.addr, req.master, req.mshr,
-                           t + _node.timing().directoryAccess);
+                           t + timing::directoryAccess);
 }
 
 bool
@@ -271,7 +277,6 @@ HomeModule::handleRequestAs(CohMsgType type, Addr addr,
                             NodeId master, std::uint8_t mshr,
                             Tick t)
 {
-    const TimingParams &tp = _node.timing();
     DirectoryEntry &e = entryFor(addr);
     NodeMap &map = e.map();
     unsigned n = _node.numNodes();
@@ -293,14 +298,14 @@ HomeModule::handleRequestAs(CohMsgType type, Addr addr,
             // C or D with no (other) sharer: grant exclusive.
             e.setState(MemState::Dirty);
             map.setOnly(master);
-            t += tp.memoryAccess;
+            t += timing::memoryAccess;
             grantWithData(CohMsgType::GrantExclusive, t);
             return t;
         }
         if (e.state() == MemState::Clean) {
             if (_node.cfg().injectBug != ProtoBug::DropSharer)
                 map.add(master);
-            t += tp.memoryAccess;
+            t += timing::memoryAccess;
             grantWithData(CohMsgType::GrantShared, t);
             return t;
         }
@@ -322,7 +327,7 @@ HomeModule::handleRequestAs(CohMsgType type, Addr addr,
         if (map.empty() || map.isOnly(master, n)) {
             e.setState(MemState::Dirty);
             map.setOnly(master);
-            t += tp.memoryAccess;
+            t += timing::memoryAccess;
             grantWithData(CohMsgType::GrantModified, t);
             return t;
         }
@@ -371,14 +376,13 @@ HomeModule::handleRequestAs(CohMsgType type, Addr addr,
 
       default:
         panic("home %u: handleRequestAs(%s)", _node.id(),
-              cohMsgTypeName(type));
+              nameOf(type));
     }
 }
 
 Tick
 HomeModule::startInvalidation(Addr addr, Tick t)
 {
-    const TimingParams &tp = _node.timing();
     DirectoryEntry &e = entryFor(addr);
     PendingOp &op = _pending.at(addr);
     unsigned n = _node.numNodes();
@@ -413,13 +417,13 @@ HomeModule::startInvalidation(Addr addr, Tick t)
             auto inv = makeCohPacket(CohMsgType::Invalidate,
                                      _node.id(), v, addr, op.master,
                                      op.mshr);
-            emitAt(t + i * tp.unicastInvSendOccupancy,
+            emitAt(t + i * timing::unicastInvSendOccupancy,
                    std::move(inv));
             ++i;
         });
         invalidationUnicasts += real_count;
         t += static_cast<Tick>(real_count) *
-             tp.unicastInvSendOccupancy;
+             timing::unicastInvSendOccupancy;
         return t;
     }
 
@@ -472,8 +476,7 @@ HomeModule::startInvalidation(Addr addr, Tick t)
 Tick
 HomeModule::handleWriteBack(const CohPacket &pkt, Tick t)
 {
-    const TimingParams &tp = _node.timing();
-    t += tp.directoryAccess + tp.memoryAccess;
+    t += timing::directoryAccess + timing::memoryAccess;
     ++writebacksProcessed;
     DirectoryEntry &e = entryFor(pkt.addr);
     _node.sharedMem().writeBlock(addr_map::localBlock(pkt.addr),
@@ -493,7 +496,6 @@ HomeModule::handleWriteBack(const CohPacket &pkt, Tick t)
 Tick
 HomeModule::handleSlaveReply(const CohPacket &pkt, Tick t)
 {
-    const TimingParams &tp = _node.timing();
     auto it = _pending.find(pkt.addr);
     if (it == _pending.end() ||
         it->second.wait != PendingOp::Wait::SlaveReply) {
@@ -507,7 +509,7 @@ HomeModule::handleSlaveReply(const CohPacket &pkt, Tick t)
         _node.sharedMem().writeBlock(addr_map::localBlock(pkt.addr),
                                      pkt.data);
     }
-    t += tp.memoryAccess;
+    t += timing::memoryAccess;
 
     DirectoryEntry &e = entryFor(pkt.addr);
     auto g = makeCohPacket(CohMsgType::GrantShared, _node.id(),
@@ -533,8 +535,7 @@ HomeModule::handleSlaveReply(const CohPacket &pkt, Tick t)
 Tick
 HomeModule::handleInvAck(const CohPacket &pkt, Tick t)
 {
-    const TimingParams &tp = _node.timing();
-    t += tp.ackProcess;
+    t += timing::ackProcess;
     auto it = _pending.find(pkt.addr);
     if (it == _pending.end() ||
         it->second.wait == PendingOp::Wait::SlaveReply) {
@@ -574,7 +575,7 @@ HomeModule::handleInvAck(const CohPacket &pkt, Tick t)
                                done.master, done.mshr);
         emitAt(t, std::move(g));
     } else {
-        t += tp.memoryAccess;
+        t += timing::memoryAccess;
         auto g = makeCohPacket(CohMsgType::GrantModified,
                                _node.id(), done.master, pkt.addr,
                                done.master, done.mshr);

@@ -71,7 +71,8 @@ class HomeModule : public HomeCtx, public HomeStats
     /** A home-bound message arrived (request or slave reply). */
     void enqueueInput(std::unique_ptr<CohPacket> pkt);
 
-    /** The node's output path has room again (ablation mode). */
+    /** The node's output path has room again: resend what it
+     * refused (ablation mode), then resume dispatch. */
     void outputSpaceAvailable();
 
     /** Messages waiting in the input buffer (for stats/tests). */
@@ -202,9 +203,11 @@ class HomeModule : public HomeCtx, public HomeStats
     std::unordered_map<Addr, PendingOp, U64MixHash> _pending;
     Ring<std::unique_ptr<CohPacket>> _input;
     Ring<WaitingMulticast> _gatherWait;
+    /** Packets the node's bounded output refused (ablation mode),
+     * in emit order; dispatch stalls while any wait. */
+    Ring<std::unique_ptr<CohPacket>> _refused;
     bool _busy = false;
     bool _gatherBusy = false;
-    bool _stalledOnOutput = false;
     unsigned _dispatchHolds = 0; ///< active fault hold windows
     unsigned _gatherHolds = 0;   ///< active gather-pressure windows
 };

@@ -1,6 +1,7 @@
 #include "protocol/master.hh"
 
 #include "node/dsm_node.hh"
+#include "sim/timing.hh"
 
 namespace cenju
 {
@@ -81,7 +82,7 @@ MasterModule::load(Addr addr, LoadCallback done)
         std::uint64_t v =
             line->data.w[(addr & (blockBytes - 1)) / 8];
         _node.eq().scheduleAfter(
-            _node.timing().cacheHitLatency,
+            timing::cacheHitLatency,
             [done = std::move(done), v]() mutable { done(v); });
         return;
     }
@@ -100,7 +101,7 @@ MasterModule::store(Addr addr, std::uint64_t value,
 {
     AccessClass cls = countAccess(addr);
     if (cls == AccessClass::Private) {
-        if (_node.cfg().isReplicated(addr)) {
+        if (_node.isReplicated(addr)) {
             updateStore(addr, value, std::move(done));
             return;
         }
@@ -117,7 +118,7 @@ MasterModule::store(Addr addr, std::uint64_t value,
         line->data.w[(addr & (blockBytes - 1)) / 8] = value;
         _node.cache().touch(*line);
         _node.eq().scheduleAfter(
-            _node.timing().cacheHitLatency,
+            timing::cacheHitLatency,
             [done = std::move(done)]() mutable { done(); });
         return;
     }
@@ -148,7 +149,6 @@ MasterModule::accessPrivate(Addr addr, bool is_store,
 {
     Cache &cache = _node.cache();
     CacheLine *line = cache.lookup(addr);
-    const TimingParams &t = _node.timing();
 
     if (line) {
         ++cacheHits;
@@ -157,13 +157,13 @@ MasterModule::accessPrivate(Addr addr, bool is_store,
             line->state = CacheState::Modified;
             line->data.w[(addr & (blockBytes - 1)) / 8] = value;
             _node.eq().scheduleAfter(
-                t.cacheHitLatency,
+                timing::cacheHitLatency,
                 [sdone = std::move(sdone)]() mutable { sdone(); });
         } else {
             std::uint64_t v =
                 line->data.w[(addr & (blockBytes - 1)) / 8];
             _node.eq().scheduleAfter(
-                t.cacheHitLatency,
+                timing::cacheHitLatency,
                 [ldone = std::move(ldone), v]() mutable { ldone(v); });
         }
         return;
@@ -172,7 +172,7 @@ MasterModule::accessPrivate(Addr addr, bool is_store,
     ++cacheMisses;
     ++missPrivate;
     // Table 2 row (a): masterOverhead + memoryAccess = 470 ns.
-    Tick lat = t.masterOverhead + t.memoryAccess;
+    Tick lat = timing::masterOverhead + timing::memoryAccess;
     _node.eq().scheduleAfter(
         lat,
         [this, addr, is_store, value, ldone = std::move(ldone),
@@ -243,7 +243,7 @@ MasterModule::launchUpdate()
     unsigned n = _node.numNodes();
     if (n == 1) {
         _node.eq().scheduleAfter(
-            _node.timing().masterOverhead,
+            timing::masterOverhead,
             [this] { handleUpdateAck(); });
         return;
     }
@@ -273,7 +273,7 @@ MasterModule::launchUpdate()
         static_cast<std::uint16_t>(n + _node.id());
     pkt->ackGatherGroup = group;
     _node.eq().scheduleAfter(
-        _node.timing().masterOverhead,
+        timing::masterOverhead,
         [this, p = std::move(pkt)]() mutable {
             _node.sendFromMaster(std::move(p));
         });
@@ -295,9 +295,9 @@ MasterModule::atomicOp(Addr addr, CombineOp op,
                        std::uint64_t operand, LoadCallback done)
 {
     if (!addr_map::isShared(addr) ||
-        !_node.cfg().isCombinable(addr)) {
+        !_node.isCombinable(addr)) {
         panic("node %u: atomic %s on non-combinable %llx",
-              _node.id(), combineOpName(op),
+              _node.id(), nameOf(op),
               (unsigned long long)addr);
     }
     ++atomicOps;
@@ -327,7 +327,7 @@ MasterModule::launchAtomic()
     pkt->combineKey = a.addr;
     pkt->combineCookie = ++_atomicCookie;
     _node.eq().scheduleAfter(
-        _node.timing().masterOverhead,
+        timing::masterOverhead,
         [this, p = std::move(pkt)]() mutable {
             _node.sendFromMaster(std::move(p));
         });
@@ -425,7 +425,7 @@ MasterModule::sendRequest(unsigned slot)
     pkt->reqEpoch = _node.policy().epoch();
     // The request leaves after the miss-detection overhead.
     _node.eq().scheduleAfter(
-        _node.timing().masterOverhead,
+        timing::masterOverhead,
         [this, p = std::move(pkt)]() mutable {
             _node.sendFromMaster(std::move(p));
         });
@@ -518,7 +518,7 @@ MasterModule::handleGrant(const CohPacket &pkt)
         return;
       default:
         panic("node %u: unexpected grant type %s", _node.id(),
-              cohMsgTypeName(pkt.type));
+              nameOf(pkt.type));
     }
 }
 
@@ -526,7 +526,7 @@ void
 MasterModule::scheduleNackRetry(unsigned slot)
 {
     ++nackRetries;
-    _node.eq().scheduleAfter(_node.timing().nackRetryDelay,
+    _node.eq().scheduleAfter(timing::nackRetryDelay,
                              [this, slot] { sendRequest(slot); });
 }
 

@@ -7,14 +7,10 @@
 #define CENJU_PROTOCOL_PROTO_CONFIG_HH
 
 #include <array>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "directory/node_map.hh"
 #include "policy/kind.hh"
 #include "sim/text.hh"
-#include "sim/timing.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -70,9 +66,6 @@ struct ProtocolConfig
     /** Secondary cache capacity in bytes (Cenju-4: 1 MB). */
     unsigned cacheBytes = 1u << 20;
 
-    /** Secondary cache associativity (R10000 L2: 2-way). */
-    unsigned cacheAssoc = 2;
-
     /** Slave-module hardware input buffer, in messages. */
     unsigned slaveHwBuffer = 4;
 
@@ -102,63 +95,6 @@ struct ProtocolConfig
 
     /** Compile-time/environment default for runtimeChecks. */
     static bool defaultRuntimeChecks();
-
-    /** Timing constants. */
-    TimingParams timing;
-
-    /**
-     * Replicated (update-protocol) private address ranges — the
-     * paper's future-work extension: arrays whose per-node local
-     * copies are kept coherent by multicast word updates instead of
-     * invalidations, so loads are always satisfied locally.
-     * Shared by every node; DsmSystem appends ranges as replicated
-     * arrays are allocated.
-     */
-    // cenju-lint: allow(A003): configuration state built before
-    // the run; shared by every node, read-only on hot paths.
-    std::shared_ptr<std::vector<std::pair<Addr, Addr>>>
-        replicatedRanges =
-            // cenju-lint: allow(A003): cold config-time allocation.
-            std::make_shared<
-                std::vector<std::pair<Addr, Addr>>>();
-
-    /** True if private address @p a lies in a replicated range. */
-    bool
-    isReplicated(Addr a) const
-    {
-        for (const auto &[lo, hi] : *replicatedRanges) {
-            if (a >= lo && a < hi)
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * Combinable synchronization-word ranges (ROADMAP item 4):
-     * shared words operated on only through typed atomics
-     * (fetch-add/min/max/swap), never cached, so the home applies
-     * them directly to memory with no directory action and the
-     * network may merge concurrent requests in flight. Shared by
-     * every node; DsmSystem appends ranges via shmAllocCombinable.
-     */
-    // cenju-lint: allow(A003): configuration state built before
-    // the run; shared by every node, read-only on hot paths.
-    std::shared_ptr<std::vector<std::pair<Addr, Addr>>>
-        combinableRanges =
-            // cenju-lint: allow(A003): cold config-time allocation.
-            std::make_shared<
-                std::vector<std::pair<Addr, Addr>>>();
-
-    /** True if shared address @p a lies in a combinable range. */
-    bool
-    isCombinable(Addr a) const
-    {
-        for (const auto &[lo, hi] : *combinableRanges) {
-            if (a >= lo && a < hi)
-                return true;
-        }
-        return false;
-    }
 };
 
 } // namespace cenju

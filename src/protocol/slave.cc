@@ -1,6 +1,7 @@
 #include "protocol/slave.hh"
 
 #include "node/dsm_node.hh"
+#include "sim/timing.hh"
 
 namespace cenju
 {
@@ -51,7 +52,7 @@ SlaveModule::processNext()
             _node.inputSpaceFreed();
     } else if (!_mem.empty()) {
         pkt = _mem.pop();
-        extra = _node.timing().memoryQueueAccess;
+        extra = timing::memoryQueueAccess;
     } else {
         _busy = false;
         return;
@@ -63,7 +64,6 @@ SlaveModule::processNext()
 void
 SlaveModule::serve(std::unique_ptr<CohPacket> pkt, Tick extra)
 {
-    const TimingParams &tp = _node.timing();
     CacheLine *line = _node.cache().lookup(pkt->addr);
     NodeId home = pkt->src;
 
@@ -138,7 +138,7 @@ SlaveModule::serve(std::unique_ptr<CohPacket> pkt, Tick extra)
 
       default:
         panic("slave %u: bad message %s", _node.id(),
-              cohMsgTypeName(pkt->type));
+              nameOf(pkt->type));
     }
 
     if (auto *hook = _node.checkHook()) {
@@ -150,8 +150,8 @@ SlaveModule::serve(std::unique_ptr<CohPacket> pkt, Tick extra)
     // extension's "third-level cache in main memory"), cheaper than
     // a full slave-engine pass.
     Tick occupancy = pkt->type == CohMsgType::UpdateWrite
-        ? tp.memoryQueueAccess
-        : tp.slaveOccupancy;
+        ? timing::memoryQueueAccess
+        : timing::slaveOccupancy;
     _node.eq().scheduleAfter(
         occupancy + extra,
         [this, r = std::move(reply)]() mutable {

@@ -25,7 +25,10 @@
 #ifndef CENJU_TRANSPORT_COMBINE_HH
 #define CENJU_TRANSPORT_COMBINE_HH
 
+#include <array>
 #include <cstdint>
+
+#include "sim/text.hh"
 
 namespace cenju
 {
@@ -39,18 +42,11 @@ enum class CombineOp : std::uint8_t
     Swap,     ///< returns old value, stores operand
 };
 
-constexpr unsigned numCombineOps = 4;
-
-constexpr const char *
-combineOpName(CombineOp op)
+/** Op names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(CombineOp)
 {
-    switch (op) {
-      case CombineOp::FetchAdd: return "fetch-add";
-      case CombineOp::Min: return "min";
-      case CombineOp::Max: return "max";
-      case CombineOp::Swap: return "swap";
-    }
-    return "?";
+    return std::array{"fetch-add", "min", "max", "swap"};
 }
 
 /**

@@ -1,15 +1,15 @@
 /**
  * @file
- * Interconnect configuration parameters.
+ * Interconnect timing constants and configuration.
  *
  * Lives in transport/ (not network/) because every backend consumes
  * it: the multistage fabric charges these latencies hop by hop, and
  * the analytical backends charge traversal() of the same stage,
  * inject and eject numbers as their fixed pipe latency, so all three
  * agree bit-for-bit on uncontended paths (docs/ARCHITECTURE.md).
- * This is the only place the network's latencies live. The
- * stage-count rule is fabric geometry shared the same way, so it
- * lives here too.
+ * The network's latencies are the constants below; NetConfig holds
+ * only the sizes a caller may vary. The stage-count rule is fabric
+ * geometry shared the same way, so it lives here too.
  */
 
 #ifndef CENJU_TRANSPORT_NET_CONFIG_HH
@@ -24,7 +24,50 @@ namespace cenju
 /** Switch radix (4x4 crossbars). */
 constexpr unsigned switchRadix = 4;
 
-/** Static parameters of one interconnect instance. */
+/** Header latency through one switch stage (ns). */
+constexpr Tick stageLatency = 130;
+
+/** Controller-to-network injection overhead (ns). */
+constexpr Tick injectLatency = 140;
+
+/** Network-to-controller ejection overhead (ns). */
+constexpr Tick ejectLatency = 140;
+
+/** Per-switch overhead charged when merging a gathered reply. */
+constexpr Tick gatherMergeLatency = 20;
+
+/**
+ * Software-combining flush window for the `direct` backend's
+ * sender-side combining tree (ns): a node buffers same-key
+ * combinable requests from its subtree this long before forwarding
+ * one merged packet toward the root. Models the no-offload
+ * baseline's batching knob; in-fabric backends ignore it.
+ */
+constexpr Tick swCombineWindow = 500;
+
+/**
+ * Uncontended latency of one network traversal across @p stages
+ * stages: inject + stages x stage + eject, the Table 2 calibration
+ * 280 + 130 s (sim/timing.hh).
+ */
+constexpr Tick
+traversal(unsigned stages)
+{
+    return injectLatency + static_cast<Tick>(stages) * stageLatency +
+           ejectLatency;
+}
+
+/**
+ * Time a packet of @p bytes holds a serializing port: a 40 ns
+ * header plus half a nanosecond per payload byte, rounded down.
+ */
+constexpr Tick
+portOccupancy(unsigned bytes)
+{
+    return 40 + bytes / 2;
+}
+
+/** Sizes of one interconnect instance. */
 struct NetConfig
 {
     /** Real endpoints. */
@@ -35,24 +78,6 @@ struct NetConfig
 
     /** Per-node injection queue capacity, in packets. */
     unsigned injectQueueCapacity = 4;
-
-    /** Header latency through one switch stage (ns). */
-    Tick stageLatency = 130;
-
-    /** Controller-to-network injection overhead (ns). */
-    Tick injectLatency = 140;
-
-    /** Network-to-controller ejection overhead (ns). */
-    Tick ejectLatency = 140;
-
-    /** Per-switch overhead charged when merging a gathered reply. */
-    Tick gatherMergeLatency = 20;
-
-    /** Output-port occupancy: fixed header cost (ns). */
-    Tick portOccupancyHeader = 40;
-
-    /** Output-port occupancy: per payload byte (ns). */
-    double portOccupancyPerByte = 0.5;
 
     /**
      * Entries in each switch's gather table.
@@ -90,37 +115,6 @@ struct NetConfig
      * degrades back toward the no-combining baseline.
      */
     unsigned combineTableEntries = 2048;
-
-    /**
-     * Software-combining flush window for the `direct` backend's
-     * sender-side combining tree (ns): a node buffers same-key
-     * combinable requests from its subtree this long before
-     * forwarding one merged packet toward the root. Models the
-     * no-offload baseline's batching knob; in-fabric backends
-     * ignore it.
-     */
-    Tick swCombineWindow = 500;
-
-    /**
-     * Uncontended latency of one network traversal across @p stages
-     * stages: inject + stages x stage + eject, the Table 2
-     * calibration 280 + 130 s at the defaults (sim/timing.hh).
-     */
-    Tick
-    traversal(unsigned stages) const
-    {
-        return injectLatency +
-               static_cast<Tick>(stages) * stageLatency +
-               ejectLatency;
-    }
-
-    /** Time a packet of @p bytes holds a serializing port. */
-    Tick
-    portOccupancy(unsigned bytes) const
-    {
-        return portOccupancyHeader +
-               static_cast<Tick>(bytes * portOccupancyPerByte);
-    }
 
     /**
      * Cenju-4 stage-count rule: enough radix-4 stages to address

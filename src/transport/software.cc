@@ -14,7 +14,7 @@ SoftwareTransport::SoftwareTransport(EventQueue &eq,
       // fabrics agree exactly when there is no contention (the
       // Table 2 unicast latencies): what remains is the contention
       // + fanout cost this backend removes or restructures.
-      _pipeLatency(cfg.traversal(NetConfig::defaultStages(cfg.numNodes))),
+      _pipeLatency(traversal(NetConfig::defaultStages(cfg.numNodes))),
       _injectors(cfg.numNodes), _ports(cfg.numNodes),
       _endpoints(cfg.numNodes, nullptr),
       _combiners(software_collectives ? cfg.numNodes : 0)
@@ -191,7 +191,7 @@ void
 SoftwareTransport::sendOne(Injector &inj, NodeId n, PacketPtr pkt)
 {
     inj.busy = true;
-    Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
+    Tick occ = portOccupancy(pkt->sizeBytes);
     Tick when = nowOf(n) + _pipeLatency;
 
     if (pkt->dest.kind() == DestSpec::Kind::Unicast) {
@@ -216,7 +216,7 @@ SoftwareTransport::sendOne(Injector &inj, NodeId n, PacketPtr pkt)
     }
 
     queueOf(n).scheduleAfter(
-        std::max(occ, _cfg.injectLatency), [this, n] {
+        std::max(occ, injectLatency), [this, n] {
             Injector &i2 = _injectors[n];
             i2.busy = false;
             pumpInjector(n);
@@ -276,7 +276,7 @@ SoftwareTransport::pumpDelivery(NodeId dst)
             break; // endpoint calls deliveryRetry() on free space
         PacketPtr pkt = std::move(port.q.front());
         port.q.pop_front();
-        Tick occ = _cfg.portOccupancy(pkt->sizeBytes);
+        Tick occ = portOccupancy(pkt->sizeBytes);
         ++port.delivered;
         port.latency.sample(
             static_cast<double>(nowOf(dst) - pkt->injectTick));
@@ -429,7 +429,7 @@ SoftwareTransport::swCombineAccept(NodeId x, PacketPtr pkt)
     }
     NodeId from = pkt->src;
     c.pending.emplace(key, SwCombiner::Pending{std::move(pkt), from});
-    queueOf(x).scheduleAfter(_cfg.swCombineWindow,
+    queueOf(x).scheduleAfter(swCombineWindow,
                              [this, x, key] {
                                  swCombineFlush(x, key);
                              });

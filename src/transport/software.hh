@@ -5,7 +5,7 @@
  * Both backends here model an interconnect as a fixed-latency pipe
  * per message — injection queue, serializing source port, a single
  * end-to-end latency equal to the multistage fabric's *uncontended*
- * path (NetConfig::traversal), and a delivery queue per
+ * path (traversal(), net_config.hh), and a delivery queue per
  * destination — without modelling any internal switch contention:
  *
  *  - IdealTransport keeps the fabric's hardware multicast and

@@ -10,38 +10,6 @@
 namespace cenju
 {
 
-const char *
-appKindName(AppKind k)
-{
-    switch (k) {
-      case AppKind::BT:
-        return "BT";
-      case AppKind::CG:
-        return "CG";
-      case AppKind::FT:
-        return "FT";
-      case AppKind::SP:
-        return "SP";
-    }
-    return "?";
-}
-
-const char *
-variantName(Variant v)
-{
-    switch (v) {
-      case Variant::Seq:
-        return "seq";
-      case Variant::Mpi:
-        return "mpi";
-      case Variant::Dsm1:
-        return "dsm1";
-      case Variant::Dsm2:
-        return "dsm2";
-    }
-    return "?";
-}
-
 std::unique_ptr<NpbApp>
 makeNpbApp(AppKind app, Variant variant, const NpbConfig &cfg)
 {
@@ -110,12 +78,12 @@ runNpb(DsmSystem &sys, NpbApp &app)
 std::string
 npbSourcePath(AppKind app, Variant variant)
 {
-    std::string name = appKindName(app);
+    std::string name = nameOf(app);
     for (auto &c : name)
         c = static_cast<char>(std::tolower(c));
     return std::string(CENJU_SOURCE_DIR) +
            "/src/workload/kernels/" + name + "_" +
-           variantName(variant) + ".cc";
+           nameOf(variant) + ".cc";
 }
 
 } // namespace cenju

@@ -31,12 +31,14 @@
 #ifndef CENJU_WORKLOAD_NPB_HH
 #define CENJU_WORKLOAD_NPB_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
 
 #include "core/dsm_system.hh"
 #include "exec/task.hh"
+#include "sim/text.hh"
 
 namespace cenju
 {
@@ -59,8 +61,32 @@ enum class Variant
     Dsm2,
 };
 
-const char *appKindName(AppKind k);
-const char *variantName(Variant v);
+/** Application names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(AppKind)
+{
+    return std::array{"BT", "CG", "FT", "SP"};
+}
+
+/** Variant names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(Variant)
+{
+    return std::array{"seq", "mpi", "dsm1", "dsm2"};
+}
+
+/** nameOf() under its older names (perfbench/dsm_bench.cc). */
+inline const char *
+appKindName(AppKind k)
+{
+    return nameOf(k);
+}
+
+inline const char *
+variantName(Variant v)
+{
+    return nameOf(v);
+}
 
 /** Scaled problem configuration. */
 struct NpbConfig

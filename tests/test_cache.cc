@@ -18,21 +18,21 @@ namespace
 
 TEST(Cache, Geometry)
 {
-    Cache c(1u << 20, 2); // 1 MB, 2-way, 128 B lines
+    Cache c(1u << 20); // 1 MB, 2-way, 128 B lines
     EXPECT_EQ(c.lineCount(), 8192u);
     EXPECT_EQ(c.sets(), 4096u);
-    EXPECT_EQ(c.assoc(), 2u);
+    EXPECT_EQ(Cache::assoc, 2u);
 }
 
 TEST(Cache, LookupMissOnEmpty)
 {
-    Cache c(1u << 14, 2);
+    Cache c(1u << 14);
     EXPECT_EQ(c.lookup(0x1000), nullptr);
 }
 
 TEST(Cache, FillAndHit)
 {
-    Cache c(1u << 14, 2);
+    Cache c(1u << 14);
     CacheLine *line = c.allocate(0x1000);
     ASSERT_NE(line, nullptr);
     line->tag = blockBase(0x1000);
@@ -50,7 +50,7 @@ TEST(Cache, LruVictimSelection)
 {
     // A 2-line, 2-way cache has a single set, so every address
     // conflicts and replacement is pure LRU.
-    Cache c(2 * blockBytes, 2);
+    Cache c(2 * blockBytes);
     ASSERT_EQ(c.sets(), 1u);
 
     CacheLine *w0 = c.allocate(0);
@@ -70,7 +70,7 @@ TEST(Cache, LruVictimSelection)
 
 TEST(Cache, PinnedLinesAreNotVictims)
 {
-    Cache c(2 * blockBytes, 2); // 1 set x 2 ways
+    Cache c(2 * blockBytes); // 1 set x 2 ways
     CacheLine *a = c.allocate(0);
     a->tag = 0;
     a->state = CacheState::Modified;
@@ -90,7 +90,7 @@ TEST(Cache, PinnedLinesAreNotVictims)
 
 TEST(Cache, PrivateAndSharedTagsDistinct)
 {
-    Cache c(1u << 14, 2);
+    Cache c(1u << 14);
     Addr priv = addr_map::makePrivate(0x2000);
     Addr shared = addr_map::makeShared(0, 0x2000);
     ASSERT_NE(priv, shared);
@@ -104,7 +104,7 @@ TEST(Cache, PrivateAndSharedTagsDistinct)
 
 TEST(Cache, ValidLinesFootprint)
 {
-    Cache c(1u << 14, 2);
+    Cache c(1u << 14);
     Rng rng(4);
     unsigned filled = 0;
     for (int i = 0; i < 50; ++i) {

@@ -111,7 +111,7 @@ TEST(CombineAlgebra, MergeThenDecombineEqualsSerial)
         std::uint64_t home_old = M;
         std::uint64_t home_new =
             combineApply(op, M, pa->combineOperand);
-        EXPECT_EQ(home_new, mem) << combineOpName(op);
+        EXPECT_EQ(home_new, mem) << nameOf(op);
 
         // Decombine: the home's one reply answers a; b's reply is
         // rebuilt from it, and c's from b's.
@@ -126,9 +126,9 @@ TEST(CombineAlgebra, MergeThenDecombineEqualsSerial)
         reply.combineCookie = 101;
         PacketPtr replyB = decombine(reply, mergeB);
         PacketPtr replyC = decombine(*replyB, mergeC);
-        EXPECT_EQ(reply.combineOperand, ra) << combineOpName(op);
-        EXPECT_EQ(replyB->combineOperand, rb) << combineOpName(op);
-        EXPECT_EQ(replyC->combineOperand, rc) << combineOpName(op);
+        EXPECT_EQ(reply.combineOperand, ra) << nameOf(op);
+        EXPECT_EQ(replyB->combineOperand, rb) << nameOf(op);
+        EXPECT_EQ(replyC->combineOperand, rc) << nameOf(op);
 
         // Each rebuilt reply reaches its own requester under its
         // own ticket and cookie.

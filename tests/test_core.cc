@@ -310,6 +310,53 @@ TEST(DsmSystem, MismatchedBarrierIsReportedAsDeadlock)
         ::testing::ExitedWithCode(1), "deadlock");
 }
 
+/** Build and destroy a system that allocates one replicated and one
+ * combinable array, leaving @p cfg for the next system to reuse. */
+void
+allocSpecialArraysOn(const SystemConfig &cfg)
+{
+    DsmSystem a(cfg);
+    a.shmAllocReplicated(16);
+    a.shmAllocCombinable(1);
+}
+
+TEST(DsmSystem, ReusedConfigStartsWithoutReplicatedRanges)
+{
+    // The replicated array of an earlier system built from the same
+    // config must not turn a later plain private array's stores into
+    // update-protocol multicasts.
+    SystemConfig cfg = smallCfg(4);
+    allocSpecialArraysOn(cfg);
+    DsmSystem b(cfg);
+    PrivArray p = b.privAlloc(16);
+    b.run([&](Env &env) -> Task {
+        co_await env.put(p, env.id(), 1.0);
+    });
+    std::uint64_t updates = 0;
+    for (NodeId n = 0; n < 4; ++n)
+        updates += b.node(n).master().updateStores.value();
+    EXPECT_EQ(updates, 0u);
+}
+
+TEST(DsmSystem, ReusedConfigStartsWithoutCombinableRanges)
+{
+    // A plain shared word at the offset where an earlier system kept
+    // its combinable word is not combinable: atomics on it panic.
+    SystemConfig cfg = smallCfg(4);
+    allocSpecialArraysOn(cfg);
+    EXPECT_DEATH(
+        {
+            DsmSystem b(cfg);
+            ShmArray w = b.shmAlloc(1, Mapping::onNode(0));
+            Addr a = w.addrOf(0);
+            b.run([&](Env &env) -> Task {
+                if (env.id() == 1)
+                    (void)co_await env.atomicFetchAdd(a, 1);
+            });
+        },
+        "node 1: atomic fetch-add on non-combinable");
+}
+
 TEST(DsmSystem, LargeSystemSmoke)
 {
     DsmSystem sys(smallCfg(128));

@@ -42,7 +42,11 @@ stress(bool avoidance, unsigned nodes, unsigned rounds)
     // multistage property. Pin the backend so the suite stays
     // meaningful under the CI CENJU_TRANSPORT matrix (on the
     // contention-free backends the saturation wedge cannot form).
+    // Pin reliability off too: the e2e decorator takes every
+    // delivery into its own unbounded receive queue, so the
+    // modules' back-pressure never reaches the fabric.
     cfg.transport = TransportKind::Multistage;
+    cfg.reliability = ReliabilityKind::Off;
     cfg.proto.deadlockAvoidance = avoidance;
     cfg.proto.slaveHwBuffer = 1;
     cfg.proto.homeHwOutBuffer = 1;
@@ -120,6 +124,31 @@ TEST(DeadlockAvoidance, DisabledQueuesWedgeUnderSaturation)
     EXPECT_LT(r.completed, r.issued)
         << "expected the Figure 9 cycles to close with the "
            "overflow queues disabled";
+}
+
+TEST(DeadlockAvoidance, DisabledQueuesKeepRefusedHomeReplies)
+{
+    // With the memory queues off, a full one-entry home output
+    // buffer refuses the second of two grants while node 0's output
+    // is held. The refused grant must wait behind the first, not be
+    // dropped.
+    SystemConfig cfg;
+    cfg.numNodes = 4;
+    cfg.proto.deadlockAvoidance = false;
+    cfg.proto.homeHwOutBuffer = 1;
+    DsmSystem sys(cfg);
+    sys.node(0).faultHoldOutput();
+    unsigned done = 0;
+    for (NodeId n : {1u, 2u}) {
+        sys.node(n).master().load(
+            addr_map::makeShared(0, n * blockBytes),
+            [&done](std::uint64_t) { ++done; });
+    }
+    sys.eq().run();
+    EXPECT_EQ(done, 0u);
+    sys.node(0).faultReleaseOutput();
+    sys.eq().run();
+    EXPECT_EQ(done, 2u);
 }
 
 TEST(DeadlockAvoidance, NormalBuffersNeverNeedMemoryQueues)

@@ -249,7 +249,7 @@ TEST_P(NodeMapSchemes, SupersetOfTrueSharersAlways)
         }
         NodeSet decoded = map->decode(kNodes);
         EXPECT_TRUE(truth.subsetOf(decoded))
-            << nodeMapKindName(GetParam());
+            << nameOf(GetParam());
         EXPECT_EQ(decoded.count(), map->representedCount(kNodes));
         for (auto n : sharers)
             EXPECT_TRUE(map->contains(n));
@@ -506,8 +506,8 @@ TEST(DirectoryEntry, SixtyFourBitEntryHoldsEverything)
 
 TEST(DirectoryEntry, StateNames)
 {
-    EXPECT_STREQ(memStateName(MemState::Clean), "C");
-    EXPECT_STREQ(memStateName(MemState::PendingShared), "Ps");
+    EXPECT_STREQ(nameOf(MemState::Clean), "C");
+    EXPECT_STREQ(nameOf(MemState::PendingShared), "Ps");
 }
 
 } // namespace

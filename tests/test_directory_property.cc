@@ -69,13 +69,13 @@ expectSuperset(const NodeMap &map, const Reference &ref,
     NodeSet decoded = map.decode(nodes);
     ref.set.forEach([&](NodeId v) {
         EXPECT_TRUE(decoded.contains(v))
-            << nodeMapKindName(map.kind()) << " lost sharer " << v;
+            << nameOf(map.kind()) << " lost sharer " << v;
         EXPECT_TRUE(map.contains(v))
-            << nodeMapKindName(map.kind())
+            << nameOf(map.kind())
             << " contains() denies sharer " << v;
     });
     EXPECT_EQ(map.empty(), ref.set.empty() && decoded.empty())
-        << nodeMapKindName(map.kind());
+        << nameOf(map.kind());
 }
 
 /** Exact schemes decode to precisely the true set. */
@@ -85,10 +85,10 @@ expectExact(const NodeMap &map, const Reference &ref,
 {
     NodeSet decoded = map.decode(nodes);
     EXPECT_EQ(decoded.count(), ref.set.count())
-        << nodeMapKindName(map.kind());
+        << nameOf(map.kind());
     ref.set.forEach([&](NodeId v) {
         EXPECT_TRUE(decoded.contains(v))
-            << nodeMapKindName(map.kind());
+            << nameOf(map.kind());
     });
 }
 
@@ -117,7 +117,7 @@ TEST_P(NodeMapProperty, DecodeIsAlwaysASupersetOfTrueSharers)
                     map->clear();
                     ref.clear();
                 }
-                SCOPED_TRACE(std::string(nodeMapKindName(kind)) +
+                SCOPED_TRACE(std::string(nameOf(kind)) +
                              " nodes=" + std::to_string(nodes) +
                              " seq=" + std::to_string(seq) +
                              " op=" + std::to_string(op));
@@ -152,7 +152,7 @@ TEST_P(NodeMapProperty, PointerSchemesExactUpToFourSharers)
                     map->clear();
                     ref.clear();
                 }
-                SCOPED_TRACE(std::string(nodeMapKindName(kind)) +
+                SCOPED_TRACE(std::string(nameOf(kind)) +
                              " nodes=" + std::to_string(nodes) +
                              " seq=" + std::to_string(seq) +
                              " op=" + std::to_string(op));
@@ -188,7 +188,7 @@ TEST_P(NodeMapProperty, SetOnlyAfterOverflowKeepsTheNode)
         map->setOnly(keep);
         Reference ref(nodes);
         ref.setOnly(keep);
-        SCOPED_TRACE(nodeMapKindName(kind));
+        SCOPED_TRACE(nameOf(kind));
         expectSuperset(*map, ref, nodes);
         bool exactKind =
             kind == NodeMapKind::CenjuPointerBitPattern ||

@@ -149,7 +149,7 @@ struct Sys
                 });
                 EXPECT_TRUE(sharers.subsetOf(decoded))
                     << "home " << h << " block " << blk << " state "
-                    << memStateName(e->state()) << detail;
+                    << nameOf(e->state()) << detail;
                 if (e->state() == MemState::Dirty) {
                     EXPECT_EQ(decoded.count(), 1u);
                 }
@@ -366,7 +366,6 @@ TEST(Protocol, WritebackOnEviction)
 {
     ProtocolConfig pc;
     pc.cacheBytes = 4 * blockBytes; // tiny cache forces eviction
-    pc.cacheAssoc = 2;
     Sys s(4, pc);
     // Dirty many distinct blocks homed at node 0 from node 1.
     for (unsigned i = 0; i < 16; ++i) {
@@ -553,7 +552,6 @@ TEST_P(ProtocolFuzz, RandomOpsStayCoherent)
     ProtocolConfig pc;
     pc.useMulticast = multicast;
     pc.cacheBytes = 64 * blockBytes; // small: plenty of evictions
-    pc.cacheAssoc = 2;
     Sys s(num_nodes, pc);
     Rng rng(num_nodes * 31 + multicast);
 

@@ -38,11 +38,10 @@ TEST(Topology, DefaultStagesOtherSizes)
 
 TEST(Topology, TraversalFormulaMatchesTable2Calibration)
 {
-    NetConfig cfg;
     // Table 2 row (c): 610 + 2 * traversal(stages).
-    EXPECT_EQ(610 + 2 * cfg.traversal(2), 1690u);
-    EXPECT_EQ(610 + 2 * cfg.traversal(4), 2210u);
-    EXPECT_EQ(610 + 2 * cfg.traversal(6), 2730u);
+    EXPECT_EQ(610 + 2 * traversal(2), 1690u);
+    EXPECT_EQ(610 + 2 * traversal(4), 2210u);
+    EXPECT_EQ(610 + 2 * traversal(6), 2730u);
 }
 
 TEST(Topology, ChannelsCoverNodes)

@@ -72,7 +72,7 @@ TEST(Workload, Dsm1MatchesSeqExactly)
                         AppKind::FT}) {
         double seq = runChecksum(app, Variant::Seq, 1, cfg);
         double dsm1 = runChecksum(app, Variant::Dsm1, 4, cfg);
-        EXPECT_DOUBLE_EQ(seq, dsm1) << appKindName(app);
+        EXPECT_DOUBLE_EQ(seq, dsm1) << nameOf(app);
     }
 }
 
@@ -86,7 +86,7 @@ TEST(Workload, Dsm2AndMpiAgreeWithEachOther)
         double d2 = runChecksum(app, Variant::Dsm2, 4, cfg);
         double mpi = runChecksum(app, Variant::Mpi, 4, cfg);
         EXPECT_NEAR(d2, mpi, 1e-9 * std::abs(d2))
-            << appKindName(app);
+            << nameOf(app);
     }
 }
 
@@ -99,8 +99,8 @@ TEST(Workload, FtAndCgParallelMatchSeqExactly)
         double seq = runChecksum(app, Variant::Seq, 1, cfg);
         double d2 = runChecksum(app, Variant::Dsm2, 4, cfg);
         double mpi = runChecksum(app, Variant::Mpi, 4, cfg);
-        EXPECT_DOUBLE_EQ(seq, d2) << appKindName(app);
-        EXPECT_DOUBLE_EQ(seq, mpi) << appKindName(app);
+        EXPECT_DOUBLE_EQ(seq, d2) << nameOf(app);
+        EXPECT_DOUBLE_EQ(seq, mpi) << nameOf(app);
     }
 }
 
@@ -196,11 +196,11 @@ TEST(TextDiff, KernelSourcesExistAndDiffSensibly)
         DiffStats dm =
             diffFiles(seq, npbSourcePath(app, Variant::Mpi));
         EXPECT_GT(d1.baseLines, 20u);
-        EXPECT_GT(d1.rewritingRatio(), 0.0) << appKindName(app);
+        EXPECT_GT(d1.rewritingRatio(), 0.0) << nameOf(app);
         // The headline Figure 11(a) ordering: dsm(1) rewrites less
         // than mpi.
         EXPECT_LT(d1.rewritingRatio(), dm.rewritingRatio())
-            << appKindName(app);
+            << nameOf(app);
     }
 }
 
