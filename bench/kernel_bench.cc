@@ -1,9 +1,9 @@
 /**
  * @file
  * Simulation-kernel microbenchmarks: raw event-scheduling
- * throughput, network packet forwarding, multicast destination
- * decode, directory bit-pattern and map encoding, and
- * coherence-packet allocation churn.
+ * throughput (timed, same-tick and deep-heap), network packet
+ * forwarding, multicast destination decode, directory bit-pattern
+ * and map encoding, and coherence-packet allocation churn.
  *
  * This is the tracked perf surface of the simulator (docs/PERF.md):
  * the numbers land in BENCH_kernel.json and CI's perf-smoke job
@@ -105,6 +105,56 @@ benchSchedRing(const Bench &b)
             if (*remaining == 0)
                 return;
             --*remaining;
+            Step next = *this;
+            next.salt = *acc;
+            eq->scheduleAfter(1 + (lane & 3), next);
+        }
+    };
+
+    auto t0 = clk::now();
+    for (unsigned l = 0; l < ring; ++l)
+        eq.schedule(0, Step{&eq, &remaining, &acc, l, l});
+    eq.run();
+    double s = secondsSince(t0);
+
+    if (acc == 0)
+        std::fprintf(stderr, "impossible\n"); // keep acc observable
+    std::uint64_t ran = eq.executed();
+    return {b.name, "events_per_sec", double(ran) / s, ran, s};
+}
+
+/**
+ * Same-tick scheduling, the switch's enqueue -> arbitrate shape: a
+ * ring of timed events, each of which schedules one zero-delay
+ * follower (its arbitration) and one timed successor (the next
+ * hop), so half of all events run at the tick they were scheduled.
+ */
+Result
+benchSchedSameTick(const Bench &b)
+{
+    EventQueue eq;
+    std::uint64_t remaining = b.work;
+    std::uint64_t acc = 0;
+    constexpr unsigned ring = 16;
+
+    struct Step
+    {
+        EventQueue *eq;
+        std::uint64_t *remaining;
+        std::uint64_t *acc;
+        std::uint64_t salt;
+        unsigned lane;
+
+        void
+        operator()() const
+        {
+            *acc += salt + lane;
+            if (*remaining == 0)
+                return;
+            --*remaining;
+            eq->scheduleAfter(0, [acc = acc, lane = lane] {
+                *acc ^= lane;
+            });
             Step next = *this;
             next.salt = *acc;
             eq->scheduleAfter(1 + (lane & 3), next);
@@ -697,6 +747,7 @@ main(int argc, char **argv)
     const Bench benches[] = {
         {"sched_ring", benchSchedRing, 1000000 * scale},
         {"sched_deep", benchSchedDeep, 500000 * scale},
+        {"sched_same_tick", benchSchedSameTick, 500000 * scale},
         {"packets", benchPackets, 100000 * scale},
         {"multicast_decode", benchMulticastDecode,
          500000 * scale},

@@ -198,11 +198,13 @@ runTrace(const Trace &t, std::uint64_t event_budget)
         for (std::size_t i = 0; i < batch.size(); ++i)
             issueOp(sys, t.cfg, batch[i], status[i]);
 
+        // Drain through runOne()'s return value, as run() does: the
+        // drain it reports is what makes the fabric's release points
+        // at now() read as passed for the next batch
+        // (EventQueue::reached).
         std::uint64_t budget = event_budget;
-        while (!sys.eq.empty() && budget > 0) {
-            sys.eq.runOne();
+        while (budget > 0 && sys.eq.runOne())
             --budget;
-        }
         if (!sys.eq.empty()) {
             out.report.completed = false;
             out.report.violations.push_back(Violation{

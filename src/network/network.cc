@@ -108,6 +108,7 @@ Network::tryInject(PacketPtr &&pkt)
     Injector &inj = _injectors[n];
     if (inj.q.size() >= injectCapacity(n)) {
         inj.wasFull = true;
+        armInjector(n);
         return false;
     }
     pkt->injectTick = _eq.now();
@@ -120,16 +121,29 @@ Network::tryInject(PacketPtr &&pkt)
     }
     ++injected;
     inj.q.push_back(std::move(pkt));
-    if (!inj.busy && !inj.waitingSpace)
+    if (inj.release.busy(_eq))
+        armInjector(n);
+    else if (!inj.waitingSpace)
         pumpInjector(n);
     return true;
+}
+
+void
+Network::armInjector(NodeId n)
+{
+    _injectors[n].release.arm(_eq, [this, n] {
+        pumpInjector(n);
+        // A refused owner's space callback: the same check a
+        // closing squeeze window runs.
+        faultInjectRetry(n);
+    });
 }
 
 void
 Network::pumpInjector(NodeId n)
 {
     Injector &inj = _injectors[n];
-    if (inj.busy || inj.q.empty())
+    if (inj.release.busy(_eq) || inj.q.empty())
         return;
 
     XbarSwitch &sw0 = switchAt(0, inj.swRow);
@@ -141,7 +155,6 @@ Network::pumpInjector(NodeId n)
 
     PacketPtr pkt = std::move(inj.q.front());
     inj.q.pop_front();
-    inj.busy = true;
 
     Tick occ = portOccupancy(pkt->sizeBytes);
     _eq.scheduleAfter(
@@ -149,20 +162,10 @@ Network::pumpInjector(NodeId n)
         [&sw0, port = inj.swPort, p = std::move(pkt)]() mutable {
             sw0.commit(port, std::move(p));
         });
-    _eq.scheduleAfter(std::max(occ, injectLatency),
-                      [this, n] {
-                          Injector &i2 = _injectors[n];
-                          i2.busy = false;
-                          pumpInjector(n);
-                          if (i2.wasFull &&
-                              i2.q.size() <
-                                  injectCapacity(n)) {
-                              i2.wasFull = false;
-                              if (_endpoints[n])
-                                  _endpoints[n]
-                                      ->injectSpaceAvailable();
-                          }
-                      });
+    // Marked after the stage-0 commit is scheduled (PortRelease).
+    inj.release.grant(_eq, std::max(occ, injectLatency));
+    if (!inj.q.empty() || inj.wasFull)
+        armInjector(n);
 }
 
 void

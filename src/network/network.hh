@@ -67,7 +67,12 @@ class Network final : public Transport, public NetStats
      * stage-0 switch state synchronously with the injecting node, and
      * ejection calls endpoints synchronously from switch arbitration,
      * so there is no latency floor between one node's action and
-     * another node's state. Explicit 0 = "do not shard me"; a sharded
+     * another node's state. Its ports also release at marks
+     * (PortRelease), which take their place in the order from the
+     * reserving event, not the scheduling one: the sharded
+     * genealogy cannot place them, and the shard barrier's
+     * resortPending would renumber the seqs they point into
+     * (ROADMAP item 5). Explicit 0 = "do not shard me"; a sharded
      * SystemConfig falls back to one shard on this backend.
      */
     Tick minCrossShardLatency() const override { return 0; }
@@ -121,7 +126,7 @@ class Network final : public Transport, public NetStats
     struct Injector
     {
         Ring<PacketPtr> q;
-        bool busy = false;
+        PortRelease release;
         bool waitingSpace = false; ///< blocked on stage-0 buffer
         bool wasFull = false;      ///< owner needs a space callback
         unsigned swRow = 0;
@@ -129,6 +134,12 @@ class Network final : public Transport, public NetStats
     };
 
     void pumpInjector(NodeId n);
+
+    /**
+     * At node @p n's injector release point, send its next packet
+     * and tell a refused owner there is space (PortRelease).
+     */
+    void armInjector(NodeId n);
 
     /**
      * Combined-reply descent (ROADMAP item 4): retrace the request

@@ -181,6 +181,7 @@ XbarSwitch::enqueue(unsigned in, unsigned out, PacketPtr pkt)
         panic("commit without reservation (%u,%u)", in, out);
     --f.reserved;
     f.q.push_back(std::move(pkt));
+    armRelease(out);
     scheduleArbitrate(out);
 }
 
@@ -217,14 +218,31 @@ XbarSwitch::scheduleArbitrate(unsigned out)
 }
 
 void
+XbarSwitch::armRelease(unsigned out)
+{
+    _release[out].arm(_eq, [this, out] { arbitrate(out); });
+}
+
+void
+XbarSwitch::grant(unsigned out, Tick occupancy)
+{
+    _release[out].grant(_eq, occupancy);
+    for (unsigned in = 0; in < switchRadix; ++in) {
+        if (!_xb[in][out].q.empty()) {
+            armRelease(out);
+            return;
+        }
+    }
+}
+
+void
 XbarSwitch::arbitrate(unsigned out)
 {
-    if (_busy[out] || _blockedEject[out])
+    if (_release[out].busy(_eq) || _blockedEject[out])
         return;
     if (auto *h = _net.faultHook();
         h && h->switchOutputHeld(_stage, _row, out))
         return; // stall window; faultKick() re-arbitrates
-
 
     for (unsigned k = 0; k < switchRadix; ++k) {
         unsigned in = (_rr[out] + k) % switchRadix;
@@ -245,12 +263,7 @@ XbarSwitch::arbitrate(unsigned out)
             PacketPtr pkt = std::move(f.q.front());
             f.q.pop_front();
             _rr[out] = (in + 1) % switchRadix;
-            Tick occ = portOccupancy(pkt->sizeBytes);
-            _busy[out] = true;
-            _eq.scheduleAfter(occ, [this, out] {
-                _busy[out] = false;
-                arbitrate(out);
-            });
+            grant(out, portOccupancy(pkt->sizeBytes));
             _eq.scheduleAfter(
                 stageLatency + ejectLatency,
                 [this, node, p = std::move(pkt)]() mutable {
@@ -270,12 +283,7 @@ XbarSwitch::arbitrate(unsigned out)
         PacketPtr pkt = std::move(f.q.front());
         f.q.pop_front();
         _rr[out] = (in + 1) % switchRadix;
-        Tick occ = portOccupancy(pkt->sizeBytes);
-        _busy[out] = true;
-        _eq.scheduleAfter(occ, [this, out] {
-            _busy[out] = false;
-            arbitrate(out);
-        });
+        grant(out, portOccupancy(pkt->sizeBytes));
         _eq.scheduleAfter(
             stageLatency,
             [down, dport, p = std::move(pkt)]() mutable {

@@ -18,6 +18,7 @@
 #define CENJU_NETWORK_XBAR_SWITCH_HH
 
 #include <array>
+#include <utility>
 
 #include "network/gather_table.hh"
 #include "network/topology.hh"
@@ -31,6 +32,58 @@ namespace cenju
 {
 
 class Network;
+
+/**
+ * Release on demand for one serializer: a switch output or a node
+ * injector. A grant marks the point at which the port frees
+ * (EventQueue::mark) and schedules the release there only once
+ * something waits for it (arm). A release that runs thus has the
+ * (tick, seq) of a release scheduled at every grant, and one that
+ * would find nothing waiting, and so change nothing, never exists.
+ * The order of the mark against the grant's hand-off event is part
+ * of the simulated order the golden digests pin.
+ *
+ * The owner arms the release at grant if packets remain queued
+ * behind the granted one (or, for an injector, its node waits for
+ * space), and whenever a packet joins a port still busy. Arming any
+ * later, say from the zero-delay arbitration the join schedules,
+ * would be too late when the join sorts before the release point
+ * within its tick.
+ */
+class PortRelease
+{
+  public:
+    /** True until the queue reaches the release point. */
+    bool
+    busy(const EventQueue &eq) const
+    {
+        return !eq.reached(_free);
+    }
+
+    /** A grant: the port frees @p occupancy ticks from now. */
+    void
+    grant(EventQueue &eq, Tick occupancy)
+    {
+        _free = eq.mark(eq.now() + occupancy);
+        _armed = false;
+    }
+
+    /** Run @p release at the release point, unless it is passed or
+     * already armed. */
+    template <typename Fn>
+    void
+    arm(EventQueue &eq, Fn &&release)
+    {
+        if (_armed || eq.reached(_free))
+            return;
+        _armed = true;
+        eq.scheduleAt(_free, std::forward<Fn>(release));
+    }
+
+  private:
+    EventQueue::Mark _free;
+    bool _armed = false;
+};
 
 /** One 4x4 crossbar switch of the multistage network. */
 class XbarSwitch
@@ -150,6 +203,17 @@ class XbarSwitch
                     PacketPtr &pkt);
 
     void arbitrate(unsigned out);
+
+    /**
+     * Occupy @p out for @p occupancy ticks from a grant, arming its
+     * release if packets still wait for it. Called before the
+     * grant's hand-off (downstream commit or eject) is scheduled.
+     */
+    void grant(unsigned out, Tick occupancy);
+
+    /** Run arbitrate(out) at @p out's release point (PortRelease). */
+    void armRelease(unsigned out);
+
     void enqueue(unsigned in, unsigned out, PacketPtr pkt);
     void releaseReservation(unsigned in, std::uint8_t outs);
     void inputSpaceFreed(unsigned in);
@@ -163,7 +227,7 @@ class XbarSwitch
     bool _lastStage;
 
     Fifo _xb[switchRadix][switchRadix];
-    std::array<bool, switchRadix> _busy{};
+    std::array<PortRelease, switchRadix> _release{};
     std::array<bool, switchRadix> _blockedEject{};
     /** Some reserve failed on gather-table occupancy (not buffer
      * space); cleared by the wake when the owning gather forwards.

@@ -34,6 +34,15 @@
  * queue that received cross-shard arrivals so its local tie-break
  * order again agrees with the global order. Sequential runs never
  * construct this engine and never pay for it.
+ *
+ * Marks (EventQueue::mark) break the key fact: an event scheduled at
+ * a mark takes its place from the event that reserved the mark, not
+ * from the later event that schedules it, and the recorder sees only
+ * the latter as its parent. resortPending would also renumber the
+ * seqs every outstanding mark points into. The multistage fabric's
+ * port releases are marks, which is one more reason that backend
+ * clamps to one shard; the barrier calls panic on a queue that has
+ * handed out a mark (ROADMAP item 5).
  */
 
 #ifndef CENJU_SHARD_SHARDED_ENGINE_HH

@@ -3,12 +3,30 @@
  * Discrete-event simulation kernel.
  *
  * A single EventQueue drives one simulated system. Events are
- * arbitrary callables scheduled at absolute ticks; ties are broken by
- * insertion order so simulations are fully deterministic.
+ * arbitrary callables scheduled at absolute ticks and run in
+ * (when, seq) order, where seq counts schedule() and mark() calls,
+ * so ties break by insertion order and simulations are fully
+ * deterministic. An event gets its place in that order in one of
+ * three ways:
+ *
+ *  - the heap: schedule() for a later tick pushes a (when, seq)
+ *    record onto a binary heap;
+ *  - the lane: schedule() for now() appends to a FIFO. Every lane
+ *    entry is at now() and lane seqs grow in push order, so the
+ *    lane is already sorted and costs O(1); runOne() takes
+ *    whichever of the lane head and the heap top comes first;
+ *  - a mark: mark() reserves the next seq for a tick without
+ *    scheduling anything, and scheduleAt() later puts an event at
+ *    exactly that (when, seq) point. A mark nothing is scheduled at
+ *    costs nothing: it is an event that never exists. The fabric
+ *    marks each port's release point at grant and schedules the
+ *    release only when a packet is waiting for it, so a release
+ *    that runs has the place a release scheduled at every grant
+ *    would have had (PortRelease, network/xbar_switch.hh).
  *
  * The kernel is allocation-free in steady state (docs/PERF.md):
  * callbacks are InlineFunction with 64 bytes of inline capture
- * storage, the pending-event heap holds small (when, seq, slot)
+ * storage, the heap and the lane hold small (when, seq, slot)
  * records, and callback slots are recycled through a freelist, so a
  * typical schedule/run cycle touches the heap allocator zero times.
  */
@@ -22,6 +40,7 @@
 
 #include "inline_function.hh"
 #include "logging.hh"
+#include "ring.hh"
 #include "types.hh"
 
 namespace cenju
@@ -63,6 +82,17 @@ class EventQueue
     /** Move-only callback; captures <= 64 bytes never allocate. */
     using Callback = InlineFunction<void()>;
 
+    /**
+     * A reserved (when, seq) point in the event order. The default
+     * mark precedes every event (seqs start at 1), so it reads as
+     * reached from the start.
+     */
+    struct Mark
+    {
+        Tick when = 0;
+        std::uint64_t seq = 0;
+    };
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -77,22 +107,60 @@ class EventQueue
     void
     schedule(Tick when, Callback cb)
     {
-        if (when < _now)
-            panic("scheduling event in the past (%llu < %llu)",
-                  (unsigned long long)when, (unsigned long long)_now);
-        std::uint32_t slot;
-        if (!_freeSlots.empty()) {
-            slot = _freeSlots.back();
-            _freeSlots.pop_back();
-            _slots[slot] = std::move(cb);
-        } else {
-            slot = static_cast<std::uint32_t>(_slots.size());
-            _slots.push_back(std::move(cb));
-        }
-        _heap.push_back(Entry{when, _nextSeq++, slot});
-        siftUp(_heap.size() - 1);
+        checkNotPast(when);
+        Entry e{when, _nextSeq++, store(std::move(cb))};
+        if (when == _now)
+            _lane.push_back(e);
+        else
+            push(e);
         if (_observer)
-            _observer->onScheduled(slot, when);
+            _observer->onScheduled(e.slot, when);
+    }
+
+    /**
+     * Reserve the next place in the order at tick @p when without
+     * scheduling anything: the point an event scheduled here and
+     * now would take.
+     * @pre when >= now()
+     */
+    Mark
+    mark(Tick when)
+    {
+        checkNotPast(when);
+        _marked = true;
+        return Mark{when, _nextSeq++};
+    }
+
+    /**
+     * True once the queue has passed @p m: while an event runs, the
+     * queue stands at that event's (now(), seq), so a mark at or
+     * before it is reached. After runOne() reports the queue empty
+     * or runUntil() returns, every event at now() has run, so every
+     * mark at now() reserved before then is reached too. Callers
+     * that stop a runOne() loop early stand at the last event run.
+     */
+    bool
+    reached(Mark m) const
+    {
+        return m.when < _now ||
+               (m.when == _now && m.seq < _passedSeq);
+    }
+
+    /**
+     * Schedule @p cb at mark @p m's exact (when, seq) point.
+     * @pre !reached(m), and nothing is scheduled at @p m yet
+     */
+    void
+    scheduleAt(Mark m, Callback cb)
+    {
+        if (reached(m))
+            panic("scheduling at a reached mark (%llu, seq %llu)",
+                  (unsigned long long)m.when,
+                  (unsigned long long)m.seq);
+        Entry e{m.when, m.seq, store(std::move(cb))};
+        push(e);
+        if (_observer)
+            _observer->onScheduled(e.slot, m.when);
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
@@ -103,15 +171,17 @@ class EventQueue
     }
 
     /** True if no events remain. */
-    bool empty() const { return _heap.empty(); }
+    bool empty() const { return _heap.empty() && _lane.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return _heap.size(); }
+    std::size_t size() const { return _heap.size() + _lane.size(); }
 
     /** Time of the next pending event (maxTick if none). */
     Tick
     nextEventTick() const
     {
+        if (!_lane.empty())
+            return _now; // lane entries are all at now()
         return _heap.empty() ? maxTick : _heap.front().when;
     }
 
@@ -122,15 +192,17 @@ class EventQueue
     bool
     runOne()
     {
-        if (_heap.empty())
+        if (empty()) {
+            _passedSeq = _nextSeq;
             return false;
-        Entry e = _heap.front();
-        popTop();
+        }
+        Entry e = takeNext();
         // The callback may schedule new events, so move it out of
         // its slot (and recycle the slot) before invoking.
         Callback cb = std::move(_slots[e.slot]);
         _freeSlots.push_back(e.slot);
         _now = e.when;
+        _passedSeq = e.seq + 1;
         ++_executed;
         if (_observer) {
             _observer->onExecuteBegin(e.slot, e.when);
@@ -162,12 +234,14 @@ class EventQueue
     runUntil(Tick limit)
     {
         std::uint64_t n = 0;
-        while (!_heap.empty() && _heap.front().when <= limit) {
+        while (!empty() && nextEventTick() <= limit) {
             runOne();
             ++n;
         }
-        if (_now < limit)
+        if (_now <= limit) {
             _now = limit;
+            _passedSeq = _nextSeq;
+        }
         return n;
     }
 
@@ -178,12 +252,19 @@ class EventQueue
     void setObserver(EventQueueObserver *o) { _observer = o; }
 
     // --- barrier support (src/shard window synchronization) --------
+    //
+    // Both calls panic once the queue has handed out a mark: the
+    // sharded engine cannot place marks yet (shard/sharded_engine.hh,
+    // ROADMAP item 5).
 
     /** Visit every pending event as (slot, when). */
     template <typename Fn>
     void
     forEachPending(Fn &&fn) const
     {
+        checkUnmarked();
+        for (const Entry &e : _lane)
+            fn(e.slot, e.when);
         for (const Entry &e : _heap)
             fn(e.slot, e.when);
     }
@@ -201,6 +282,9 @@ class EventQueue
     void
     resortPending(SlotLess &&slotLess)
     {
+        checkUnmarked();
+        for (; !_lane.empty(); _lane.pop_front())
+            _heap.push_back(_lane.front());
         std::sort(_heap.begin(), _heap.end(),
                   [&](const Entry &a, const Entry &b) {
                       if (a.when != b.when)
@@ -208,8 +292,9 @@ class EventQueue
                       return slotLess(a.slot, b.slot);
                   });
         for (std::size_t i = 0; i < _heap.size(); ++i)
-            _heap[i].seq = i;
-        _nextSeq = _heap.size();
+            _heap[i].seq = i + 1;
+        _nextSeq = _heap.size() + 1;
+        _passedSeq = 1; // no renumbered event has run
     }
 
   private:
@@ -228,6 +313,61 @@ class EventQueue
         if (a.when != b.when)
             return a.when < b.when;
         return a.seq < b.seq;
+    }
+
+    void
+    checkNotPast(Tick when) const
+    {
+        if (when < _now)
+            panic("scheduling event in the past (%llu < %llu)",
+                  (unsigned long long)when, (unsigned long long)_now);
+    }
+
+    void
+    checkUnmarked() const
+    {
+        if (_marked)
+            panic("shard barrier on a queue that handed out marks: "
+                  "marks are not recorded in the shard genealogy "
+                  "(ROADMAP item 5)");
+    }
+
+    /** Park @p cb in a free slot. @return the slot */
+    std::uint32_t
+    store(Callback &&cb)
+    {
+        std::uint32_t slot;
+        if (!_freeSlots.empty()) {
+            slot = _freeSlots.back();
+            _freeSlots.pop_back();
+            _slots[slot] = std::move(cb);
+        } else {
+            slot = static_cast<std::uint32_t>(_slots.size());
+            _slots.push_back(std::move(cb));
+        }
+        return slot;
+    }
+
+    void
+    push(const Entry &e)
+    {
+        _heap.push_back(e);
+        siftUp(_heap.size() - 1);
+    }
+
+    /** Remove and return the first pending entry. @pre !empty() */
+    Entry
+    takeNext()
+    {
+        if (!_lane.empty() &&
+            (_heap.empty() || before(_lane.front(), _heap.front()))) {
+            Entry e = _lane.front();
+            _lane.pop_front();
+            return e;
+        }
+        Entry e = _heap.front();
+        popTop();
+        return e;
     }
 
     void
@@ -270,11 +410,15 @@ class EventQueue
     }
 
     std::vector<Entry> _heap;
+    Ring<Entry> _lane; ///< events at now(), in seq order
     std::vector<Callback> _slots;      ///< indexed by Entry::slot
     std::vector<std::uint32_t> _freeSlots;
     Tick _now = 0;
-    std::uint64_t _nextSeq = 0;
+    std::uint64_t _nextSeq = 1; ///< seq 0 is the default Mark's
+    /** Every seq below this at tick now() has been passed. */
+    std::uint64_t _passedSeq = 1;
     std::uint64_t _executed = 0;
+    bool _marked = false; ///< mark() was called (checkUnmarked)
     EventQueueObserver *_observer = nullptr;
 };
 

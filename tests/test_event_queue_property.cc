@@ -18,8 +18,11 @@
  * event once scheduled always runs. Components "cancel" work by
  * making the callback a no-op behind their own state, which keeps
  * the kernel allocation-free and the genealogy of the sharded
- * recorder complete. If a cancel API is ever added, the recorder's
- * slot metadata and these properties must be revisited.
+ * recorder complete. A mark nothing is scheduled at is not a
+ * cancelled event but one that never exists: it takes a seq and
+ * nothing else, so the events that do run keep their order. If a
+ * cancel API is ever added, the recorder's slot metadata and these
+ * properties must be revisited.
  */
 
 #include <gtest/gtest.h>
@@ -88,51 +91,253 @@ TEST(EventQueueProperty, FifoAmongSameTickEvents)
     EXPECT_EQ(eq.now(), 5u);
 }
 
-TEST(EventQueueProperty, RandomInterleavingMatchesReferenceModel)
+namespace
 {
-    Rng rng{fuzzSeed()};
-    for (unsigned round = 0; round < 20; ++round) {
-        EventQueue eq;
-        std::vector<ModelEvent> model;
-        std::vector<unsigned> executed;
-        std::uint64_t seq = 0;
-        unsigned nextId = 0;
 
-        // Random mix of schedules (at random offsets from now,
-        // including 0 — events may run at the current tick) and
-        // runOne() calls, then a full drain.
-        for (unsigned op = 0; op < 400; ++op) {
-            if (rng.below(3) != 0) {
-                Tick when = eq.now() + rng.below(16);
-                unsigned id = nextId++;
-                model.push_back(ModelEvent{when, seq++, id});
-                eq.schedule(when,
-                            [&executed, id] { executed.push_back(id); });
-            } else {
-                eq.runOne();
+/**
+ * One queue under a random mix of zero-delay schedules (the lane),
+ * timed schedules (the heap) and marks, with everything scheduled
+ * recorded as (when, seq) for the reference sort. The model's seq
+ * counts schedule() and mark() calls, exactly as the queue's does.
+ */
+struct MixedRun
+{
+    using Mark = EventQueue::Mark;
+
+    /** A reserved mark and its seq in the model's numbering. */
+    struct Reserved
+    {
+        Mark mark;
+        std::uint64_t seq;
+    };
+
+    explicit MixedRun(std::uint64_t seed) : rng{seed} {}
+
+    EventQueue eq;
+    Rng rng;
+    std::vector<ModelEvent> model;
+    std::vector<unsigned> executed;
+    std::vector<Reserved> reserved; ///< marks nothing is at yet
+    std::uint64_t seq = 0;
+
+    void
+    schedule(Tick when, bool schedulesMark)
+    {
+        auto id = static_cast<unsigned>(model.size());
+        model.push_back(ModelEvent{when, seq++, id});
+        eq.schedule(when, [this, id, schedulesMark] {
+            executed.push_back(id);
+            if (schedulesMark)
+                scheduleReserved();
+        });
+    }
+
+    void
+    reserve(Tick when)
+    {
+        reserved.push_back(Reserved{eq.mark(when), seq++});
+    }
+
+    /** Schedule a random reserved mark, unless it is reached: then
+     * it stays unscheduled for good. */
+    void
+    scheduleReserved()
+    {
+        if (reserved.empty())
+            return;
+        std::size_t k = rng.below(reserved.size());
+        Reserved r = reserved[k];
+        reserved.erase(reserved.begin() + std::ptrdiff_t(k));
+        if (eq.reached(r.mark))
+            return;
+        auto id = static_cast<unsigned>(model.size());
+        model.push_back(ModelEvent{r.mark.when, r.seq, id});
+        eq.scheduleAt(r.mark,
+                      [this, id] { executed.push_back(id); });
+    }
+
+    /** size(), empty() and nextEventTick() against the model. */
+    void
+    checkPending() const
+    {
+        std::vector<bool> ran(model.size(), false);
+        for (unsigned id : executed)
+            ran[id] = true;
+        std::size_t pending = 0;
+        Tick next = maxTick;
+        for (const ModelEvent &e : model) {
+            if (!ran[e.id]) {
+                ++pending;
+                next = std::min(next, e.when);
             }
         }
-        while (eq.runOne()) {
+        ASSERT_EQ(eq.size(), pending);
+        ASSERT_EQ(eq.empty(), pending == 0);
+        ASSERT_EQ(eq.nextEventTick(), next);
+    }
+};
+
+} // namespace
+
+TEST(EventQueueProperty, RandomInterleavingMatchesReferenceModel)
+{
+    Rng seeds{fuzzSeed()};
+    for (unsigned round = 0; round < 20; ++round) {
+        MixedRun r(seeds.next());
+
+        // Random mix of zero-delay schedules, timed schedules, marks
+        // reserved at offsets >= 0 (now() included), marks scheduled
+        // from outside any event, events that schedule a mark when
+        // they run, and runOne() calls, then a full drain. Marks
+        // still reserved at the end are never scheduled.
+        for (unsigned op = 0; op < 400; ++op) {
+            Tick now = r.eq.now();
+            switch (r.rng.below(8)) {
+              case 0:
+                r.schedule(now, false);
+                break;
+              case 1:
+              case 2:
+                r.schedule(now + 1 + r.rng.below(15), false);
+                break;
+              case 3:
+                r.reserve(now + r.rng.below(16));
+                break;
+              case 4:
+                r.scheduleReserved();
+                break;
+              case 5:
+                r.schedule(now + r.rng.below(8), true);
+                break;
+              default:
+                r.eq.runOne();
+                break;
+            }
+            r.checkPending();
+        }
+        while (r.eq.runOne()) {
         }
 
-        // Reference order: stable sort by tick (stability preserves
-        // the insertion sequence within a tick)... except the model
-        // must honor that an event scheduled AFTER time advanced past
-        // another's tick still runs later. Sorting by (when, seq) is
-        // exactly the queue's documented contract.
+        // The queue's contract: everything scheduled runs in
+        // (when, seq) order, whether it was scheduled on the heap,
+        // on the lane or at a mark reserved earlier.
+        std::vector<ModelEvent> model = r.model;
         std::sort(model.begin(), model.end(),
                   [](const ModelEvent &a, const ModelEvent &b) {
                       if (a.when != b.when)
                           return a.when < b.when;
                       return a.seq < b.seq;
                   });
-        ASSERT_EQ(executed.size(), model.size())
+        ASSERT_EQ(r.executed.size(), model.size())
             << "round " << round << " seed " << fuzzSeed();
         for (std::size_t i = 0; i < model.size(); ++i)
-            ASSERT_EQ(executed[i], model[i].id)
+            ASSERT_EQ(r.executed[i], model[i].id)
                 << "position " << i << " round " << round << " seed "
                 << fuzzSeed();
     }
+}
+
+TEST(EventQueueProperty, LaneEntriesAreSeenByEveryQuery)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    // Three zero-delay events on the lane and one timed event on
+    // the heap.
+    for (int i = 0; i < 3; ++i)
+        eq.schedule(0, [&order, i] { order.push_back(i); });
+    eq.schedule(4, [&order] { order.push_back(3); });
+    EXPECT_EQ(eq.size(), 4u);
+    EXPECT_FALSE(eq.empty());
+    EXPECT_EQ(eq.nextEventTick(), 0u);
+    std::vector<std::pair<std::uint32_t, Tick>> seen;
+    eq.forEachPending([&seen](std::uint32_t slot, Tick when) {
+        seen.emplace_back(slot, when);
+    });
+    std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(seen.size(), 4u);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        EXPECT_EQ(seen[i], std::make_pair(i, i < 3 ? Tick(0) : 4));
+
+    // resortPending folds the lane into the heap: reversing the
+    // slot order reverses the three same-tick events, which the
+    // lane alone would have run in schedule order.
+    eq.resortPending(
+        [](std::uint32_t a, std::uint32_t b) { return a > b; });
+    EXPECT_EQ(eq.size(), 4u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 1, 0, 3}));
+}
+
+TEST(EventQueueProperty, RunUntilDrainsTheLaneAtItsLimit)
+{
+    // An event at the limit schedules a zero-delay follower, which
+    // lands on the lane at the limit and must run before runUntil
+    // returns; the follower's own timed child stays queued.
+    EventQueue eq;
+    std::vector<Tick> ran;
+    eq.schedule(10, [&] {
+        ran.push_back(eq.now());
+        eq.scheduleAfter(0, [&] {
+            ran.push_back(eq.now());
+            eq.scheduleAfter(1, [&] { ran.push_back(eq.now()); });
+        });
+    });
+    EXPECT_EQ(eq.runUntil(10), 2u);
+    EXPECT_EQ(ran, (std::vector<Tick>{10, 10}));
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.nextEventTick(), 11u);
+    EXPECT_EQ(eq.runUntil(11), 1u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueProperty, MarkAtNowReadsReachedOnceTheQueuePassesIt)
+{
+    // An event at tick 10 reserves a mark at 10 and never schedules
+    // it. In a queue that had scheduled the event instead, the
+    // event would run before run() or runUntil(10) returned, so the
+    // mark must read as reached after both.
+    {
+        EventQueue eq;
+        EventQueue::Mark m;
+        eq.schedule(10, [&] { m = eq.mark(10); });
+        eq.run();
+        EXPECT_TRUE(eq.reached(m));
+    }
+    {
+        EventQueue eq;
+        EventQueue::Mark m;
+        eq.schedule(10, [&] { m = eq.mark(10); });
+        eq.schedule(20, [] {});
+        eq.runUntil(10);
+        EXPECT_TRUE(eq.reached(m));
+        EXPECT_EQ(eq.size(), 1u);
+    }
+    // A runOne() loop that stops early stands at the last event it
+    // ran, before the mark's seq: the mark is still ahead, and
+    // scheduling at it from outside any event puts its event ahead
+    // of a same-tick event reserved after it.
+    {
+        EventQueue eq;
+        EventQueue::Mark m;
+        bool done = false;
+        std::vector<int> order;
+        eq.schedule(10, [&] {
+            m = eq.mark(10);
+            eq.scheduleAfter(0, [&] { order.push_back(2); });
+            done = true;
+        });
+        while (!done && eq.runOne()) {
+        }
+        EXPECT_FALSE(eq.reached(m));
+        eq.scheduleAt(m, [&] { order.push_back(1); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2}));
+        EXPECT_TRUE(eq.reached(m));
+    }
+    // The default mark is reached from the start: a port that was
+    // never granted is free.
+    EventQueue fresh;
+    EXPECT_TRUE(fresh.reached(EventQueue::Mark{}));
 }
 
 TEST(EventQueueProperty, RunUntilAdvancesNowAndLeavesLaterEvents)
@@ -233,4 +438,29 @@ TEST(EventQueueProperty, SchedulingInThePastPanics)
     eq.runOne();
     ASSERT_EQ(eq.now(), 10u);
     EXPECT_DEATH(eq.schedule(9, [] {}), "past");
+}
+
+TEST(EventQueueProperty, SchedulingAtAReachedMarkPanics)
+{
+    EventQueue eq;
+    EventQueue::Mark m = eq.mark(5);
+    eq.schedule(5, [] {});
+    eq.run();
+    ASSERT_TRUE(eq.reached(m));
+    EXPECT_DEATH(eq.scheduleAt(m, [] {}), "reached mark");
+}
+
+TEST(EventQueueProperty, ShardBarrierOnAMarkingQueuePanics)
+{
+    // Marks take their order from the reserving event, which the
+    // sharded recorder does not track, and resortPending renumbers
+    // seqs: a queue that marks cannot be sharded (ROADMAP item 5).
+    EventQueue eq;
+    eq.schedule(3, [] {});
+    (void)eq.mark(3);
+    EXPECT_DEATH(eq.forEachPending([](std::uint32_t, Tick) {}),
+                 "ROADMAP item 5");
+    EXPECT_DEATH(eq.resortPending([](std::uint32_t a,
+                                     std::uint32_t b) { return a < b; }),
+                 "ROADMAP item 5");
 }

@@ -2,7 +2,8 @@
  * @file
  * Tests for the network: unicast latency and ordering, multicast
  * delivery to exactly the specified set, in-network gathering,
- * back-pressure, and determinism.
+ * back-pressure, determinism, and the event cost and in-tick timing
+ * of port releases.
  */
 
 #include <gtest/gtest.h>
@@ -125,6 +126,60 @@ TEST(Network, UnicastDeliversOnceWithCalibratedLatency)
     // Uncontended traversal: inject + eject overhead (280) plus one
     // stage latency per stage (2 x 130) = 540 ns.
     EXPECT_EQ(f.eps[9]->arrivalTicks[0], 540u);
+    // No port release runs: nothing ever waits behind the packet
+    // (PortRelease, network/xbar_switch.hh).
+    EXPECT_EQ(f.eq.executed(), 6u);
+}
+
+TEST(Network, ContendedReleasesRunOnlyWhenPacketsWait)
+{
+    // Nodes 0-3 send 144-byte packets to node 9, meeting on four
+    // inputs of the stage-1 switch that ejects to it, then node 0
+    // sends a 16-byte one behind its first. Each packet leaves one
+    // port occupancy (40 + 144 / 2 = 112 ns) after the one ahead of
+    // it, so the arrival times pin that every release with a packet
+    // waiting runs on time, and the event count pins that the idle
+    // ones never exist.
+    NetFixture f(16);
+    for (NodeId src = 0; src < 4; ++src)
+        ASSERT_TRUE(f.net->tryInject(makeUnicast(src, 9, int(src),
+                                                 144)));
+    ASSERT_TRUE(f.net->tryInject(makeUnicast(0, 9, 4, 16)));
+    f.eq.run();
+    EXPECT_EQ(f.eps[9]->arrivalTicks,
+              (std::vector<Tick>{540, 652, 764, 876, 988}));
+    EXPECT_EQ(f.eq.executed(), 32u);
+}
+
+TEST(Network, JoinAtTheReleaseTickIsGrantedAtTheReleasePoint)
+{
+    // Node 0's 144-byte packet holds its stage-0 output from 140 to
+    // 252. Node 4, on the same stage-0 switch, injects at 112; its
+    // packet joins that output at 252 through a commit scheduled
+    // before the grant reserved the release point, so the join
+    // comes first within the tick, and the release must run at its
+    // point and grant the packet there. A probe scheduled after the
+    // grant, for tick 252, sorts after the release point but before
+    // the arbitration the join schedules: the packet must already
+    // have left the buffer.
+    NetFixture f(16);
+    const Topology &topo = f.net->topology();
+    auto [row, port] = topo.injectPoint(4);
+    ASSERT_EQ(topo.injectPoint(0).first, row);
+    unsigned out = topo.routeDigit(9, 0);
+    XbarSwitch &sw = f.net->switchAt(0, row);
+
+    ASSERT_TRUE(f.net->tryInject(makeUnicast(0, 9, 0, 144)));
+    f.eq.schedule(112, [&f] {
+        ASSERT_TRUE(f.net->tryInject(makeUnicast(4, 9, 1)));
+    });
+    unsigned buffered = ~0u;
+    f.eq.schedule(200, [&] {
+        f.eq.schedule(252, [&] { buffered = sw.occupancy(port, out); });
+    });
+    f.eq.run();
+    EXPECT_EQ(buffered, 0u);
+    EXPECT_EQ(f.eps[9]->arrivalTicks, (std::vector<Tick>{540, 652}));
 }
 
 TEST(Network, LatencyScalesWithStages)
