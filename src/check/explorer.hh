@@ -115,9 +115,11 @@ struct ReplayReport
 };
 
 /**
- * Replay @p t on a fresh system built from t.cfg, with a
- * Collect-mode RuntimeChecker attached (the --replay path also runs
- * through DsmSystem::replayTrace, which panics instead).
+ * Replay @p t on a fresh system built from t.cfg alone (the
+ * multistage fabric, no reliability layer; no CENJU_* variable
+ * applies), with the exploration's checks: a Collect-mode
+ * RuntimeChecker, the write-serial shadow and the event budget.
+ * This is the one replayer; tools/modelcheck --replay runs it.
  * @param event_budget livelock watchdog per batch
  */
 ReplayReport replayTrace(const Trace &t,

@@ -95,7 +95,6 @@ class RuntimeChecker : public CheckHook
     {
         return _violations;
     }
-    void clearViolations() { _violations.clear(); }
 
   private:
     void report(const char *invariant, std::string detail);

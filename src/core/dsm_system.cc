@@ -1,5 +1,7 @@
 #include "core/dsm_system.hh"
 
+#include <algorithm>
+
 #include "network/network.hh"
 #include "reliable/reliable_transport.hh"
 #include "shard/sharded_engine.hh"
@@ -250,104 +252,6 @@ DsmSystem::collectStats() const
     return r;
 }
 
-bool
-DsmSystem::replayTrace(const check::Trace &t)
-{
-    if (_sharded) {
-        // Trace ops are issued synchronously from the driver thread
-        // between event batches; wrapping them as root events would
-        // change the interleaving the counterexample certifies.
-        fatal("replayTrace requires a sequential (shards=1) system");
-    }
-    if (t.cfg.nodes != _cfg.numNodes) {
-        fatal("replayTrace: trace wants %u nodes, system has %u",
-              t.cfg.nodes, _cfg.numNodes);
-    }
-    if (t.cfg.protocol != _cfg.proto.protocol ||
-        t.cfg.bug != _cfg.proto.injectBug) {
-        fatal("replayTrace: trace protocol/bug configuration does "
-              "not match this system");
-    }
-
-    // Replay self-checking even when the system was built without
-    // runtimeChecks: attach a panicking checker for the duration.
-    std::unique_ptr<check::RuntimeChecker> local;
-    if (!_checker) {
-        std::vector<DsmNode *> raw;
-        for (auto &n : _nodes)
-            raw.push_back(n.get());
-        local = std::make_unique<check::RuntimeChecker>(
-            std::move(raw),
-            check::RuntimeChecker::OnViolation::Panic);
-        for (auto &n : _nodes)
-            n->setCheckHook(local.get());
-        _net->setCheckHook(local.get());
-    }
-    check::RuntimeChecker &ck = _checker ? *_checker : *local;
-
-    bool all_done = true;
-    struct Status
-    {
-        bool done = false;
-    };
-    for (std::size_t bi = 0; bi < t.batches.size() && all_done;
-         ++bi) {
-        const auto &batch = t.batches[bi];
-        std::vector<Status> status(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const check::Op &op = batch[i];
-            Addr addr = blockAddress(t.cfg, op.block);
-            MasterModule &m = _nodes[op.node]->master();
-            Status &st = status[i];
-            switch (op.kind) {
-              case check::OpKind::Load:
-                m.load(addr, [&st](std::uint64_t) {
-                    st.done = true;
-                });
-                break;
-              case check::OpKind::Store:
-                m.store(addr, op.value, [&st] { st.done = true; });
-                break;
-              case check::OpKind::Flush:
-                m.flushBlock(addr);
-                st.done = true;
-                break;
-              case check::OpKind::Epoch:
-                _nodes[op.node]->policy().advanceEpoch();
-                st.done = true;
-                break;
-            }
-        }
-        _eq.run();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!status[i].done) {
-                const check::Op &op = batch[i];
-                warn("replay batch %zu: %s n%u b%u never "
-                     "completed (starved)",
-                     bi, nameOf(op.kind), op.node,
-                     op.block);
-                all_done = false;
-            }
-        }
-        if (all_done)
-            ck.checkQuiescent();
-    }
-    if (!all_done) {
-        std::vector<DsmNode *> raw;
-        for (auto &n : _nodes)
-            raw.push_back(n.get());
-        warn("stall diagnosis:\n%s",
-             check::diagnoseStall(raw).c_str());
-    }
-
-    if (local) {
-        for (auto &n : _nodes)
-            n->setCheckHook(nullptr);
-        _net->setCheckHook(nullptr);
-    }
-    return all_done;
-}
-
 RunStats
 DsmSystem::run(const Program &program)
 {
@@ -357,17 +261,32 @@ DsmSystem::run(const Program &program)
 RunStats
 DsmSystem::runEach(const std::vector<Program> &programs)
 {
+    resetStats();
+    // Programs resume from event callbacks; when the queues drain
+    // every program must have finished, or the workload is
+    // deadlocked (e.g. mismatched barriers).
+    if (!runBounded(programs, unbounded).completed)
+        fatal("workload deadlock: event queues drained with "
+              "unfinished node programs");
+    return collectStats();
+}
+
+BoundedRun
+DsmSystem::runBounded(const std::vector<Program> &programs,
+                      std::uint64_t budget)
+{
     if (programs.size() != _cfg.numNodes)
-        fatal("runEach: %zu programs for %u nodes",
+        fatal("runBounded: %zu programs for %u nodes",
               programs.size(), _cfg.numNodes);
 
-    resetStats();
     std::vector<Task> tasks;
     tasks.reserve(_cfg.numNodes);
     for (NodeId n = 0; n < _cfg.numNodes; ++n) {
         tasks.push_back(programs[n](*_envs[n]));
         tasks.back().setOnFinish([this, n] {
             _envs[n]->finishTick = eqForNode(n).now();
+            if (_sharded)
+                _sharded->markTaskFinish();
         });
     }
 
@@ -375,38 +294,30 @@ DsmSystem::runEach(const std::vector<Program> &programs)
     for (NodeId n = 0; n < _cfg.numNodes; ++n)
         scheduleOnNode(n, 0, [&tasks, n] { tasks[n].start(); });
 
-    // Drive to completion. Programs resume from event callbacks;
-    // when the queues drain every program must have finished, or
-    // the workload is deadlocked (e.g. mismatched barriers).
+    BoundedRun r;
     if (_sharded) {
-        while (!_sharded->drained())
+        // The engine's counters span every run on this system:
+        // bound and count this run's share of them only.
+        std::uint64_t first = _sharded->orderedEvents();
+        std::uint64_t finished = _sharded->finishesWithinLimit();
+        std::uint64_t limit =
+            budget > unbounded - first ? unbounded : first + budget;
+        _sharded->setOrderLimit(limit);
+        while (!_sharded->drained() &&
+               _sharded->orderedEvents() < limit)
             _sharded->runWindow();
-        for (NodeId n = 0; n < _cfg.numNodes; ++n) {
-            if (!tasks[n].done()) {
-                fatal("workload deadlock: event queues drained "
-                      "with unfinished node programs");
-            }
-        }
+        r.completed = _sharded->finishesWithinLimit() - finished ==
+                      _cfg.numNodes;
+        r.events = std::min(_sharded->orderedEvents(), limit) - first;
     } else {
-        for (;;) {
-            _eq.run();
-            bool all_done = true;
-            for (NodeId n = 0; n < _cfg.numNodes; ++n) {
-                if (!tasks[n].done()) {
-                    all_done = false;
-                    break;
-                }
-            }
-            if (all_done)
-                break;
-            if (_eq.empty()) {
-                fatal("workload deadlock: event queue drained with "
-                      "unfinished node programs");
-            }
-        }
+        while (r.events < budget && _eq.runOne())
+            ++r.events;
+        r.completed = std::all_of(
+            tasks.begin(), tasks.end(),
+            [](const Task &t) { return t.done(); });
     }
-
-    return collectStats();
+    r.budgetHit = !r.completed && r.events >= budget;
+    return r;
 }
 
 } // namespace cenju

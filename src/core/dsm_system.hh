@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "check/invariants.hh"
-#include "check/trace.hh"
 #include "core/env.hh"
 #include "core/mapping.hh"
 #include "core/sync.hh"
@@ -137,6 +136,14 @@ struct RunStats
     }
 };
 
+/** What one DsmSystem::runBounded() call observed. */
+struct BoundedRun
+{
+    bool completed = false; ///< every node program finished
+    bool budgetHit = false; ///< stopped at the event budget first
+    std::uint64_t events = 0; ///< events this run executed
+};
+
 /** A complete simulated machine. */
 class DsmSystem
 {
@@ -189,20 +196,29 @@ class DsmSystem
      */
     RunStats run(const Program &program);
 
-    /** Run distinct programs per node (size must equal numNodes). */
+    /**
+     * Run distinct programs per node (size must equal numNodes):
+     * resetStats(), runBounded() with no budget, and a fatal if the
+     * queues drain with a program unfinished (workload deadlock).
+     */
     RunStats runEach(const std::vector<Program> &programs);
 
+    /** Event budget of a runBounded() that runs to the end. */
+    static constexpr std::uint64_t unbounded = ~std::uint64_t(0);
+
     /**
-     * Replay a model-checker counterexample trace (docs/CHECKING.md)
-     * on THIS system, batch by batch, panicking at the first
-     * invariant violation — the debugger-friendly reproduction path
-     * for tools/modelcheck --replay. The system must have been built
-     * with numNodes == t.cfg.nodes and proto matching t.cfg
-     * (protocol flavour and injected bug).
-     * @retval false if an operation of the trace never completed
-     *         (starvation counterexample)
+     * The one run loop: launch @p programs (one per node) in node
+     * order and run until every program finishes, the queues drain
+     * or @p budget events have run. A finish within the budget
+     * counts as completion even when it is the budget's last event.
+     * Stats are not reset. On a sharded system windows run whole;
+     * the engine counts only events ordered within the budget, so
+     * the verdict, event count and digest match the sequential
+     * cutoff. A run stopped by the budget leaves events of its
+     * abandoned programs queued: do not run the system again.
      */
-    bool replayTrace(const check::Trace &t);
+    BoundedRun runBounded(const std::vector<Program> &programs,
+                          std::uint64_t budget);
 
     // --- component access (benches, tests) -------------------------
 

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 
 #include "directory/bit_pattern.hh"
 #include "directory/node_map.hh"
@@ -143,12 +142,6 @@ class CenjuNodeMap : public NodeMap
         return NodeMapKind::CenjuPointerBitPattern;
     }
 
-    std::unique_ptr<NodeMap>
-    cloneEmpty() const override
-    {
-        return std::make_unique<CenjuNodeMap>();
-    }
-
     /** True while the map is in the (exact) pointer structure. */
     bool pointerMode() const { return !_bitPatternMode; }
 
@@ -161,9 +154,6 @@ class CenjuNodeMap : public NodeMap
     {
         return _pointers;
     }
-
-    /** Number of valid pointers (pointer mode). */
-    unsigned pointerCount() const { return _count; }
 
     /**
      * Pack into the 59 node-map bits of a directory entry.

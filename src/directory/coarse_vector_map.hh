@@ -13,7 +13,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 
 #include "directory/node_map.hh"
 #include "sim/logging.hh"
@@ -95,13 +94,6 @@ class CoarseVectorMap : public NodeMap
     unsigned storageBits() const override { return _vectorBits; }
 
     NodeMapKind kind() const override { return NodeMapKind::CoarseVector; }
-
-    std::unique_ptr<NodeMap>
-    cloneEmpty() const override
-    {
-        return std::make_unique<CoarseVectorMap>(_numNodes,
-                                                 _vectorBits);
-    }
 
     /** Nodes covered by one group bit. */
     unsigned groupSize() const { return _groupSize; }

@@ -78,7 +78,6 @@ class Directory
     }
 
     unsigned numNodes() const { return _numNodes; }
-    NodeMapKind schemeKind() const { return _kind; }
 
   private:
     NodeMapKind _kind;

@@ -8,8 +8,6 @@
 #ifndef CENJU_DIRECTORY_FULL_MAP_HH
 #define CENJU_DIRECTORY_FULL_MAP_HH
 
-#include <memory>
-
 #include "directory/node_map.hh"
 
 namespace cenju
@@ -65,12 +63,6 @@ class FullMap : public NodeMap
     unsigned storageBits() const override { return _set.capacity(); }
 
     NodeMapKind kind() const override { return NodeMapKind::FullMap; }
-
-    std::unique_ptr<NodeMap>
-    cloneEmpty() const override
-    {
-        return std::make_unique<FullMap>(_set.capacity());
-    }
 
   private:
     NodeSet _set;

@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 
 #include "directory/node_map.hh"
 
@@ -96,12 +95,6 @@ class HierBitmapMap : public NodeMap
     kind() const override
     {
         return NodeMapKind::HierarchicalBitmap;
-    }
-
-    std::unique_ptr<NodeMap>
-    cloneEmpty() const override
-    {
-        return std::make_unique<HierBitmapMap>();
     }
 
     /** Base-4 digit of node id @p n at tree level @p l (root = 0). */

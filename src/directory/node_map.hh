@@ -102,9 +102,6 @@ class NodeMap
 
     /** Scheme kind. */
     virtual NodeMapKind kind() const = 0;
-
-    /** Fresh empty map of the same scheme/configuration. */
-    virtual std::unique_ptr<NodeMap> cloneEmpty() const = 0;
 };
 
 /**

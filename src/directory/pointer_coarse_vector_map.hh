@@ -13,7 +13,6 @@
 #define CENJU_DIRECTORY_POINTER_COARSE_VECTOR_MAP_HH
 
 #include <array>
-#include <memory>
 
 #include "directory/coarse_vector_map.hh"
 #include "directory/node_map.hh"
@@ -30,8 +29,7 @@ class PointerCoarseVectorMap : public NodeMap
 
     explicit PointerCoarseVectorMap(unsigned num_nodes,
                                     unsigned vector_bits = 32)
-        : _numNodes(num_nodes), _vectorBits(vector_bits),
-          _vector(num_nodes, vector_bits)
+        : _vector(num_nodes, vector_bits)
     {}
 
     void
@@ -121,16 +119,7 @@ class PointerCoarseVectorMap : public NodeMap
         return NodeMapKind::PointerCoarseVector;
     }
 
-    std::unique_ptr<NodeMap>
-    cloneEmpty() const override
-    {
-        return std::make_unique<PointerCoarseVectorMap>(_numNodes,
-                                                        _vectorBits);
-    }
-
   private:
-    unsigned _numNodes;
-    unsigned _vectorBits;
     std::array<NodeId, numPointers> _pointers{};
     unsigned _count = 0;
     bool _coarseMode = false;

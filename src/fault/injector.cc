@@ -123,7 +123,6 @@ FaultInjector::arm(const FaultPlan &plan)
 void
 FaultInjector::open(const FaultEvent &e)
 {
-    _active.fetch_add(1, std::memory_order_relaxed);
     _opened.fetch_add(1, std::memory_order_relaxed);
     switch (e.kind) {
       case FaultKind::InjectSqueeze:
@@ -163,7 +162,6 @@ FaultInjector::open(const FaultEvent &e)
 void
 FaultInjector::close(const FaultEvent &e)
 {
-    _active.fetch_sub(1, std::memory_order_relaxed);
     Transport &net = _sys.transport();
     switch (e.kind) {
       case FaultKind::InjectSqueeze:

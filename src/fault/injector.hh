@@ -46,13 +46,6 @@ class FaultInjector : public FaultHook
      */
     void arm(const FaultPlan &plan);
 
-    /** Windows currently open. */
-    unsigned
-    activeWindows() const
-    {
-        return _active.load(std::memory_order_relaxed);
-    }
-
     /** Windows opened over the injector's lifetime. */
     unsigned
     openedWindows() const
@@ -115,7 +108,6 @@ class FaultInjector : public FaultHook
     /** Indexed node * 3 + (kind - numFaultKinds). */
     std::vector<LossWin> _loss;
 
-    std::atomic<unsigned> _active{0};
     std::atomic<unsigned> _opened{0};
 };
 

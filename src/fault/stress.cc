@@ -188,8 +188,6 @@ runStressCase(const StressCase &c, std::uint64_t eventBudget,
     for (NodeId n = 0; n < c.nodes; ++n)
         sys.node(n).setCheckHook(hook);
     sys.transport().setCheckHook(hook);
-    if (eng)
-        eng->setOrderLimit(eventBudget);
 
     // A dead link (retry budget exhausted) must become a replayable
     // failure verdict, not a fatal() — the shrinker needs the run to
@@ -210,56 +208,16 @@ runStressCase(const StressCase &c, std::uint64_t eventBudget,
         sync = sys.shmAllocCombinable(hotSpotSyncWords);
     auto program = makeStressProgram(c.workload, arr, sync);
 
-    // Bounded replica of DsmSystem::runEach: tolerate starvation
-    // (diagnose instead of fatal) and stop at the event budget.
-    std::vector<Task> tasks;
-    tasks.reserve(c.nodes);
-    for (NodeId n = 0; n < c.nodes; ++n) {
-        tasks.push_back(program(sys.env(n)));
-        if (eng)
-            tasks.back().setOnFinish(
-                [eng] { eng->markTaskFinish(); });
-    }
-    for (NodeId n = 0; n < c.nodes; ++n)
-        sys.scheduleOnNode(n, 0, [&tasks, n] { tasks[n].start(); });
-
+    // Starvation and the budget are verdicts here, not fatals.
+    BoundedRun run = sys.runBounded(
+        std::vector<DsmSystem::Program>(c.nodes, program),
+        eventBudget);
     StressResult res;
-    if (eng) {
-        // Windows run whole; the engine attributes digest, steps
-        // and finishes only to events ordered within the budget, so
-        // the verdict matches the sequential budget cutoff.
-        while (!eng->drained() &&
-               eng->orderedEvents() < eventBudget)
-            eng->runWindow();
-        res.completed = eng->finishesWithinLimit() == c.nodes;
-        if (!res.completed)
-            res.budgetHit = eng->orderedEvents() >= eventBudget;
-        res.events = std::min(eng->orderedEvents(), eventBudget);
-        res.digest = eng->digest();
-        res.steps = eng->digestSteps();
-    } else {
-        std::uint64_t executed = 0;
-        for (;;) {
-            while (executed < eventBudget && sys.eq().runOne())
-                ++executed;
-            bool all_done = std::all_of(
-                tasks.begin(), tasks.end(),
-                [](const Task &t) { return t.done(); });
-            if (all_done) {
-                res.completed = true;
-                break;
-            }
-            if (executed >= eventBudget) {
-                res.budgetHit = true;
-                break;
-            }
-            if (sys.eq().empty())
-                break; // starved: programs pending, nothing queued
-        }
-        res.events = executed;
-        res.digest = digest.digest();
-        res.steps = digest.steps();
-    }
+    res.completed = run.completed;
+    res.budgetHit = run.budgetHit;
+    res.events = run.events;
+    res.digest = eng ? eng->digest() : digest.digest();
+    res.steps = eng ? eng->digestSteps() : digest.steps();
 
     res.linkDead = linkDead;
     if (res.completed) {

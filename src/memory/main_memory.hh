@@ -74,9 +74,6 @@ class MainMemory
             .w[(offset & (blockBytes - 1)) / 8] = value;
     }
 
-    /** Touched blocks (footprint, for stats). */
-    std::size_t touchedBlocks() const { return _blocks.size(); }
-
   private:
     std::unordered_map<std::uint64_t, Block, U64MixHash> _blocks;
 };

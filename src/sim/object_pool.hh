@@ -7,7 +7,7 @@
  * allocations per simulated second. Pooled<T> gives a class its own
  * operator new/delete backed by a thread-local freelist, so each
  * packet kind recycles its own fixed-size blocks. Thread-local
- * storage keeps the pool safe under the sweeprunner thread pool,
+ * storage keeps the pool safe under the stress --jobs thread pool,
  * where several single-threaded simulations run concurrently.
  *
  * The mixin composes with virtual destructors: deleting a

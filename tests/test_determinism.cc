@@ -8,14 +8,14 @@
  * alters event ordering — and therefore simulated behavior — flips a
  * digest and fails here. Full-sweep goldens (200 seeds at 16 nodes,
  * 40 at 64) live in tests/golden/ and are checked by
- * `sweeprunner stress --golden` in CI; this test pins a fast subset
+ * `stress --golden` in CI; this test pins a fast subset
  * so plain ctest catches regressions too, plus the collective paths
  * (combining, the reliability decorator) no golden file covers.
  *
  * If a change is SUPPOSED to alter simulated behavior (timing model
  * change, protocol fix), re-record: run
- *   sweeprunner stress --nodes 16 --seeds 200 --out <golden16>
- *   sweeprunner stress --nodes 64 --seeds 40  --out <golden64>
+ *   stress --nodes 16 --seeds 200 --jobs 0 --digests-out <golden16>
+ *   stress --nodes 64 --seeds 40  --jobs 0 --digests-out <golden64>
  * and update the constants below to match.
  */
 

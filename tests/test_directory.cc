@@ -295,18 +295,6 @@ TEST_P(NodeMapSchemes, ContainsOtherSemantics)
     EXPECT_TRUE(map->containsOther(10, kNodes));
 }
 
-TEST_P(NodeMapSchemes, CloneEmptyMatchesConfiguration)
-{
-    const unsigned kNodes = 512;
-    auto map = makeNodeMap(GetParam(), kNodes);
-    map->add(5);
-    auto clone = map->cloneEmpty();
-    EXPECT_TRUE(clone->empty());
-    EXPECT_EQ(clone->kind(), map->kind());
-    clone->add(300);
-    EXPECT_TRUE(clone->contains(300));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, NodeMapSchemes,
     ::testing::Values(NodeMapKind::CenjuPointerBitPattern,

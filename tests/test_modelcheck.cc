@@ -2,8 +2,8 @@
  * @file
  * Checking-subsystem tests: the exhaustive explorer (state counts,
  * clean closure on the shipped protocol, bug-injection detection),
- * trace serialization round-trips, counterexample replay through
- * DsmSystem, and regression tests from the home-queue audit
+ * trace serialization round-trips, counterexample replay, and
+ * regression tests from the home-queue audit
  * (EXPERIMENTS.md) — including the writeback/slave-ack output
  * ordering interlock.
  */
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "check/explorer.hh"
-#include "core/dsm_system.hh"
 #include "memory/address_map.hh"
 #include "msgpass/msg_engine.hh"
 #include "network/network.hh"
@@ -228,7 +227,7 @@ TEST(Trace, ParseRejectsBadInput)
     EXPECT_NE(err.find("b0x"), std::string::npos) << err;
 }
 
-TEST(Replay, DsmSystemCleanTrace)
+TEST(Replay, CleanTraceReplaysClean)
 {
     check::Trace t;
     t.cfg.nodes = 2;
@@ -240,39 +239,11 @@ TEST(Replay, DsmSystemCleanTrace)
          check::Op{check::OpKind::Store, 0, 0, 2}});
     t.batches.push_back({check::Op{check::OpKind::Flush, 0, 0, 0}});
 
-    SystemConfig sc;
-    sc.numNodes = 2;
-    // replayTrace demands the system match the trace header, and
-    // traces pin their protocol — so must the replaying system.
-    sc.proto.protocol = t.cfg.protocol;
-    sc.proto.runtimeChecks = true;
-    DsmSystem sys(sc);
-    EXPECT_TRUE(sys.replayTrace(t));
-}
-
-TEST(ReplayDeathTest, DsmSystemPanicsOnInjectedBug)
-{
-    // Find a counterexample, then reproduce it through the full
-    // DsmSystem replay path: the panicking checker must fire.
-    check::ExplorerOptions opt;
-    opt.cfg.nodes = 2;
-    opt.cfg.blocks = 1;
-    opt.cfg.bug = ProtoBug::SkipReservation;
-    check::ExploreResult res = check::explore(opt);
-    ASSERT_FALSE(res.ok());
-    check::Trace trace = res.counterexamples[0].trace;
-
-    EXPECT_DEATH(
-        {
-            SystemConfig sc;
-            sc.numNodes = 2;
-            sc.proto.protocol = trace.cfg.protocol;
-            sc.proto.injectBug = ProtoBug::SkipReservation;
-            sc.proto.runtimeChecks = true;
-            DsmSystem sys(sc);
-            sys.replayTrace(trace);
-        },
-        "invariant");
+    check::ReplayReport rep = check::replayTrace(t);
+    for (const check::Violation &v : rep.violations)
+        ADD_FAILURE() << v.invariant << ": " << v.detail;
+    EXPECT_TRUE(rep.ok());
+    EXPECT_GT(rep.hookSteps, 0u);
 }
 
 TEST(RuntimeChecker, CleanRunObservesSteps)

@@ -15,7 +15,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/dsm_system.hh"
 #include "fault/stress.hh"
 #include "shard/sharded_engine.hh"
 
@@ -158,5 +161,46 @@ TEST(ShardDeterminism, BudgetCutoffMatchesSequential)
         EXPECT_EQ(sh.events, seq.events) << "budget " << budget;
         EXPECT_EQ(sh.completed, seq.completed);
         EXPECT_EQ(sh.budgetHit, seq.budgetHit);
+    }
+}
+
+TEST(ShardDeterminism, RepeatedRunsBoundOnlyTheirOwnEvents)
+{
+    // The engine's order and finish counters span every run on one
+    // system, so runBounded must bound and count each run's share:
+    // later runs on a sharded system must complete like the first
+    // and stop at its own budget, exactly as a sequential one does.
+    auto threeRuns = [](unsigned shards) {
+        SystemConfig cfg;
+        cfg.numNodes = 16;
+        cfg.transport = TransportKind::Ideal;
+        cfg.reliability = ReliabilityKind::Off;
+        cfg.shards = shards;
+        cfg.proto.runtimeChecks = false;
+        DsmSystem sys(cfg);
+        ShmArray x = sys.shmAlloc(64, Mapping::blockCyclic());
+        std::vector<DsmSystem::Program> progs(
+            cfg.numNodes, [&x](Env &env) -> Task {
+                co_await env.put(x, env.id(), 1.0);
+                co_await env.barrier();
+                (void)co_await env.get(
+                    x, (env.id() + 1) % env.numNodes());
+            });
+        BoundedRun all = sys.runBounded(progs, DsmSystem::unbounded);
+        BoundedRun again = sys.runBounded(progs, DsmSystem::unbounded);
+        BoundedRun cut = sys.runBounded(progs, all.events / 2);
+        EXPECT_EQ(sys.effectiveShards(), shards);
+        return std::vector<BoundedRun>{all, again, cut};
+    };
+    std::vector<BoundedRun> seq = threeRuns(1);
+    std::vector<BoundedRun> sh = threeRuns(4);
+    EXPECT_TRUE(seq[0].completed);
+    EXPECT_TRUE(seq[1].completed);
+    EXPECT_TRUE(seq[2].budgetHit);
+    EXPECT_EQ(seq[2].events, seq[0].events / 2);
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        EXPECT_EQ(sh[i].completed, seq[i].completed) << "run " << i;
+        EXPECT_EQ(sh[i].budgetHit, seq[i].budgetHit) << "run " << i;
+        EXPECT_EQ(sh[i].events, seq[i].events) << "run " << i;
     }
 }

@@ -2,8 +2,8 @@
  * @file
  * ThreadPool unit tests (src/sim/thread_pool.hh).
  *
- * The pool carries both the sweep tools (stress --jobs, sweeprunner)
- * and the sharded engine's window workers (src/shard), so its
+ * The pool carries both the sweep tools (stress --jobs, sweeprunner
+ * bench) and the sharded engine's window workers (src/shard), so its
  * contract is pinned here: every submitted job runs exactly once,
  * wait() is a full barrier reusable across batches, a single-thread
  * pool preserves submission order, and the first exception of a

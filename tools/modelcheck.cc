@@ -11,9 +11,10 @@
  *              --trace-out cex.trace
  *   modelcheck --replay cex.trace
  *
- * The replay path rebuilds a full DsmSystem from the trace header
- * and re-runs the interleaving with a panicking invariant checker
- * attached, so a violation reproduces under a debugger.
+ * The replay path re-runs the trace through the explorer's own
+ * replayer, on the machine its header describes and nothing else
+ * (no CENJU_* variable applies), and prints the violations with
+ * their ticks as the exploration did.
  */
 
 #include <cstdio>
@@ -24,7 +25,6 @@
 #include <string>
 
 #include "check/explorer.hh"
-#include "core/dsm_system.hh"
 #include "cli.hh"
 
 using namespace cenju;
@@ -53,10 +53,28 @@ usage(const char *argv0)
         "  --bug B           %s (default %s)\n"
         "  --all             keep going after a counterexample\n"
         "  --trace-out FILE  write the first counterexample trace\n"
-        "  --replay FILE     replay a trace through DsmSystem\n",
+        "  --replay FILE     replay a trace; exit 1 if it "
+        "violates\n",
         argv0, nameList<ProtocolKind>().c_str(), nameOf(pinned.protocol),
         nameList<ProtoBug>().c_str(), nameOf(pinned.bug));
     return 2;
+}
+
+void
+printCounterexample(const check::Counterexample &cex)
+{
+    std::printf("counterexample (%zu batches):\n",
+                cex.trace.batches.size());
+    std::printf("%s", check::serializeTrace(cex.trace).c_str());
+    for (const check::Violation &v : cex.violations) {
+        std::printf("  violated [%s] @%llu: %s\n",
+                    v.invariant.c_str(),
+                    (unsigned long long)v.when,
+                    v.detail.c_str());
+    }
+    if (!cex.stallDiagnosis.empty())
+        std::printf("stall diagnosis:\n%s",
+                    cex.stallDiagnosis.c_str());
 }
 
 int
@@ -78,40 +96,18 @@ replayFile(const std::string &path)
     }
 
     std::printf("replaying %zu batches (%zu ops) on %u nodes, "
-                "bug=%s\n",
+                "protocol=%s, bug=%s\n",
                 trace.batches.size(), trace.opCount(),
-                trace.cfg.nodes, nameOf(trace.cfg.bug));
-    SystemConfig sc;
-    sc.numNodes = trace.cfg.nodes;
-    sc.proto.protocol = trace.cfg.protocol;
-    sc.proto.injectBug = trace.cfg.bug;
-    sc.proto.runtimeChecks = true; // panic at the violation
-    DsmSystem sys(sc);
-    bool done = sys.replayTrace(trace);
-    if (!done) {
-        std::printf("replay FAILED: an operation starved (see "
-                    "diagnosis above)\n");
-        return 1;
+                trace.cfg.nodes, nameOf(trace.cfg.protocol),
+                nameOf(trace.cfg.bug));
+    check::ReplayReport rep = check::replayTrace(trace);
+    if (rep.ok()) {
+        std::printf("replay completed with no violation\n");
+        return 0;
     }
-    std::printf("replay completed with no violation\n");
-    return 0;
-}
-
-void
-printCounterexample(const check::Counterexample &cex)
-{
-    std::printf("counterexample (%zu batches):\n",
-                cex.trace.batches.size());
-    std::printf("%s", check::serializeTrace(cex.trace).c_str());
-    for (const check::Violation &v : cex.violations) {
-        std::printf("  violated [%s] @%llu: %s\n",
-                    v.invariant.c_str(),
-                    (unsigned long long)v.when,
-                    v.detail.c_str());
-    }
-    if (!cex.stallDiagnosis.empty())
-        std::printf("stall diagnosis:\n%s",
-                    cex.stallDiagnosis.c_str());
+    printCounterexample(check::Counterexample{
+        std::move(trace), rep.violations, rep.stallDiagnosis});
+    return 1;
 }
 
 } // namespace

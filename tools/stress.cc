@@ -13,11 +13,15 @@
  *   stress --bug skip-reservation --seeds 60 \
  *          --expect-caught --out repro.case   # mutation check
  *   stress --replay-file repro.case           # rerun a reproducer
+ *   stress --seeds 200 --jobs 0 \
+ *          --golden tests/golden/stress_digests_16.txt  # certify
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,7 +81,14 @@ usage(const char *argv0)
         "                   digests are bit-identical across shard\n"
         "                   counts, see docs/ARCHITECTURE.md)\n"
         "  --expect-caught  exit 0 iff the sweep found a failure\n"
-        "  --out FILE       write the minimal reproducer to FILE\n",
+        "  --out FILE       write the minimal reproducer to FILE\n"
+        "  --golden FILE    compare each swept seed's digest with\n"
+        "                   FILE's 'seed digest' lines (unlisted\n"
+        "                   seeds skipped); exit 1 on a mismatch\n"
+        "                   or if FILE lists none of the seeds\n"
+        "  --digests-out F  write 'seed digest' per swept seed\n"
+        "                   --golden and --digests-out apply to\n"
+        "                   the plain seed sweep only\n",
         argv0, nameList<StressPattern>().c_str(),
         nameList<ProtoBug>().c_str(), nameOf(pinned.bug),
         nameList<TransportKind>().c_str(), nameOf(pinned.transport),
@@ -137,6 +148,8 @@ struct Options
     unsigned jobs = 1;
     unsigned shards = 1;
     std::string outFile;
+    std::string goldenFile;
+    std::string digestsOut;
     /** --set overrides, applied to every case after derivation. */
     std::vector<std::pair<std::string, std::string>> overrides;
     StressOptions gen;
@@ -369,6 +382,60 @@ lossySweep(const Options &optIn)
     return 0;
 }
 
+/** `seed digest` lines, as --digests-out writes them. */
+using DigestList = std::map<std::uint64_t, std::uint64_t>;
+
+bool
+readDigests(const std::string &path, DigestList &out)
+{
+    std::ifstream in(path);
+    if (!in)
+        return false;
+    std::uint64_t seed = 0;
+    std::string digest;
+    while (in >> seed >> digest)
+        out[seed] = std::strtoull(digest.c_str(), nullptr, 16);
+    return true;
+}
+
+void
+writeDigests(const std::string &path, const DigestList &digests)
+{
+    std::ofstream out(path);
+    for (const auto &[seed, digest] : digests) {
+        char line[64];
+        std::snprintf(line, sizeof(line), "%llu %016llx\n",
+                      (unsigned long long)seed,
+                      (unsigned long long)digest);
+        out << line;
+    }
+}
+
+/** Compare a clean sweep's digests with the golden ones. */
+int
+checkGolden(const DigestList &golden, const DigestList &swept)
+{
+    unsigned mismatches = 0, checked = 0;
+    for (const auto &[seed, digest] : swept) {
+        auto it = golden.find(seed);
+        if (it == golden.end())
+            continue;
+        ++checked;
+        if (it->second != digest) {
+            std::fprintf(stderr,
+                         "seed %llu: digest %016llx != golden "
+                         "%016llx\n",
+                         (unsigned long long)seed,
+                         (unsigned long long)digest,
+                         (unsigned long long)it->second);
+            ++mismatches;
+        }
+    }
+    std::printf("golden check: %u/%u digests match\n",
+                checked - mismatches, checked);
+    return mismatches || checked == 0 ? 1 : 0;
+}
+
 } // namespace
 
 int
@@ -426,6 +493,10 @@ main(int argc, char **argv)
             opt.expectCaught = true;
         } else if (args.is("--out")) {
             opt.outFile = args.value();
+        } else if (args.is("--golden")) {
+            opt.goldenFile = args.value();
+        } else if (args.is("--digests-out")) {
+            opt.digestsOut = args.value();
         } else {
             return usage(argv[0]);
         }
@@ -433,6 +504,24 @@ main(int argc, char **argv)
 
     if (opt.gen.nodes < 2) {
         std::fprintf(stderr, "--nodes must be >= 2\n");
+        return 2;
+    }
+    if ((!opt.goldenFile.empty() || !opt.digestsOut.empty()) &&
+        (opt.singleSeed || !opt.replayFile.empty() ||
+         opt.gen.lossy || opt.expectCaught)) {
+        // Those modes never reach the sweep's digest check, which
+        // must not be skipped silently.
+        std::fprintf(stderr,
+                     "--golden and --digests-out apply to the plain "
+                     "seed sweep only, not to --seed, --replay, "
+                     "--replay-file, --lossy or --expect-caught\n");
+        return 2;
+    }
+    DigestList golden;
+    if (!opt.goldenFile.empty() &&
+        !readDigests(opt.goldenFile, golden)) {
+        std::fprintf(stderr, "cannot open golden file %s\n",
+                     opt.goldenFile.c_str());
         return 2;
     }
 
@@ -510,6 +599,7 @@ main(int argc, char **argv)
     }
 
     std::uint64_t clean = 0;
+    DigestList swept;
     for (std::uint64_t i = 0; i < opt.seeds; ++i) {
         std::uint64_t seed = opt.seedBase + i;
         StressCase c = caseFor(seed, opt);
@@ -519,6 +609,7 @@ main(int argc, char **argv)
                              : std::move(sweep[i]);
         if (!r.failed()) {
             ++clean;
+            swept[seed] = r.digest;
             continue;
         }
         std::printf("FAILING SEED %llu (replay with --replay "
@@ -537,6 +628,10 @@ main(int argc, char **argv)
     std::printf("%llu/%llu seeds clean\n",
                 (unsigned long long)clean,
                 (unsigned long long)opt.seeds);
+    if (!opt.digestsOut.empty())
+        writeDigests(opt.digestsOut, swept);
+    if (!opt.goldenFile.empty())
+        return checkGolden(golden, swept);
     if (opt.expectCaught) {
         std::fprintf(stderr,
                      "expected a failure but the sweep was clean\n");
