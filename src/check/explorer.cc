@@ -1,5 +1,6 @@
 #include "check/explorer.hh"
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <ostream>
@@ -287,6 +288,12 @@ runTrace(const Trace &t, std::uint64_t event_budget)
 
     for (const Violation &v : checker.violations())
         out.report.violations.push_back(v);
+    // Tick order, so a cause prints before the stall it led to.
+    std::stable_sort(out.report.violations.begin(),
+                     out.report.violations.end(),
+                     [](const Violation &a, const Violation &b) {
+                         return a.when < b.when;
+                     });
     out.report.hookSteps = checker.steps();
     if (out.report.ok())
         out.state = fingerprint(sys, t.cfg);

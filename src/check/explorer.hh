@@ -75,7 +75,7 @@ struct ExplorerOptions
 struct Counterexample
 {
     Trace trace;
-    std::vector<Violation> violations;
+    std::vector<Violation> violations; ///< in tick order
     std::string stallDiagnosis; ///< non-empty for liveness failures
 };
 
@@ -103,7 +103,7 @@ ExploreResult explore(const ExplorerOptions &opt,
 /** Result of replaying one trace on a fresh system. */
 struct ReplayReport
 {
-    std::vector<Violation> violations;
+    std::vector<Violation> violations; ///< in tick order
     std::string stallDiagnosis;
     std::uint64_t hookSteps = 0;
     bool completed = true; ///< all operations graduated

@@ -139,11 +139,6 @@ class BitPattern
     static unsigned slice3(NodeId n) { return (n >> 5) & 0x1; }
     static unsigned slice4(NodeId n) { return n & 0x1f; }
 
-    std::uint8_t field1() const { return _f1; }
-    std::uint8_t field2() const { return _f2; }
-    std::uint8_t field3() const { return _f3; }
-    std::uint32_t field4() const { return _f4; }
-
   private:
     std::uint8_t _f1 = 0;  ///< 4-bit one-hot of id bits [9:8]
     std::uint8_t _f2 = 0;  ///< 4-bit one-hot of id bits [7:6]

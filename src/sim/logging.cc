@@ -1,12 +1,18 @@
 #include "logging.hh"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace cenju
 {
 
+namespace
+{
+
+/** vprintf-style formatting into a std::string. */
 std::string
 vcsprintf(const char *fmt, std::va_list args)
 {
@@ -20,19 +26,6 @@ vcsprintf(const char *fmt, std::va_list args)
     std::vsnprintf(buf.data(), buf.size(), fmt, args);
     return std::string(buf.data(), static_cast<size_t>(n));
 }
-
-std::string
-csprintf(const char *fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    std::string s = vcsprintf(fmt, args);
-    va_end(args);
-    return s;
-}
-
-namespace
-{
 
 void
 emit(const char *tag, const char *fmt, std::va_list args)
@@ -69,15 +62,6 @@ warn(const char *fmt, ...)
     std::va_list args;
     va_start(args, fmt);
     emit("warn", fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    emit("info", fmt, args);
     va_end(args);
 }
 

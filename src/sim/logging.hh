@@ -4,15 +4,12 @@
  *
  * Follows the gem5 convention: panic() is for simulator bugs
  * (conditions that can never legally arise), fatal() is for user
- * errors (bad configuration), warn()/inform() report conditions
- * without stopping the simulation.
+ * errors (bad configuration), warn() reports a condition without
+ * stopping the simulation.
  */
 
 #ifndef CENJU_SIM_LOGGING_HH
 #define CENJU_SIM_LOGGING_HH
-
-#include <cstdarg>
-#include <string>
 
 namespace cenju
 {
@@ -33,16 +30,6 @@ namespace cenju
 
 /** Report a suspicious-but-survivable condition to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal status to stderr. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** printf-style formatting into a std::string. */
-std::string csprintf(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** vprintf-style formatting into a std::string. */
-std::string vcsprintf(const char *fmt, std::va_list args);
 
 } // namespace cenju
 

@@ -64,13 +64,6 @@ blockBase(Addr a)
     return a & ~static_cast<Addr>(blockBytes - 1);
 }
 
-/** Block number of an address. */
-constexpr std::uint64_t
-blockNumber(Addr a)
-{
-    return a >> blockShift;
-}
-
 } // namespace cenju
 
 #endif // CENJU_SIM_TYPES_HH

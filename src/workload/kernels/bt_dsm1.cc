@@ -1,6 +1,6 @@
 /**
  * @file
- * BT, dsm(1): the sequential program parallelized only on the
+ * BT and SP, dsm(1): the sequential program parallelized only on the
  * outermost loop of each sweep (paper section 4.2.1).
  *
  * The grid is simply declared shared instead of private — the loop
@@ -32,7 +32,7 @@ class BtDsm1 : public NpbApp
     {
         unsigned n = _cfg.grid;
         if (sys.numNodes() > n)
-            fatal("BT dsm1: %u nodes exceed grid %u",
+            fatal("BT/SP dsm1: %u nodes exceed grid %u",
                   sys.numNodes(), n);
         Mapping map = _cfg.dataMappings ? Mapping::blocked()
                                         : Mapping::blockCyclic();

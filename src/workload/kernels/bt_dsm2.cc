@@ -1,6 +1,6 @@
 /**
  * @file
- * BT, dsm(2): the tuned shared-memory program (paper section
+ * BT and SP, dsm(2): the tuned shared-memory program (paper section
  * 4.2.1): the grid is divided and each node's slab mapped into
  * private memory; only the z-sweep coupling plane travels through
  * a small shared array (published after the y sweep, bulk-copied
@@ -28,7 +28,7 @@ class BtDsm2 : public NpbApp
         unsigned n = _cfg.grid;
         unsigned p = sys.numNodes();
         if (p > n)
-            fatal("BT dsm2: %u nodes exceed grid %u", p, n);
+            fatal("BT/SP dsm2: %u nodes exceed grid %u", p, n);
         std::size_t slab = std::size_t((n + p - 1) / p + 1) * n * n;
         _u = sys.privAlloc(slab);
         _bp = sys.privAlloc(std::size_t(n) * n);

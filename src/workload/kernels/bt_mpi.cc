@@ -1,6 +1,6 @@
 /**
  * @file
- * BT, MPI program: explicit message passing with a manual slab
+ * BT and SP, MPI program: explicit message passing with a manual slab
  * decomposition. All grid data is private; the z-sweep coupling
  * plane is packed into an explicit message, shipped to the next
  * rank and unpacked there each time step — the communication code
@@ -29,7 +29,7 @@ class BtMpi : public NpbApp
         unsigned n = _cfg.grid;
         unsigned p = sys.numNodes();
         if (p > n)
-            fatal("BT mpi: %u nodes exceed grid %u", p, n);
+            fatal("BT/SP mpi: %u nodes exceed grid %u", p, n);
         std::size_t slab = std::size_t((n + p - 1) / p + 1) * n * n;
         _u = sys.privAlloc(slab);
     }

@@ -1,11 +1,14 @@
 /**
  * @file
- * BT, sequential program (mini-kernel).
+ * BT and SP, sequential program (mini-kernel).
  *
- * Block-tridiagonal solver modelled as ADI-style line sweeps over a
- * 3D grid: each time step performs a dependent first-order
- * recurrence along x, then y, then z, with BT's characteristically
- * heavy per-point block work. This file is the baseline the
+ * The block-tridiagonal (BT) and scalar-pentadiagonal (SP) solvers
+ * modelled as ADI-style line sweeps over a 3D grid: each time step
+ * performs a dependent first-order recurrence along x, then y, then
+ * z. The two differ only in per-point work (kernels.hh): BT's
+ * characteristically heavy block work, or SP's lighter scalar
+ * factorization, which makes communication and synchronization
+ * relatively more expensive. This file is the baseline the
  * rewriting-ratio experiment diffs the parallel variants against.
  */
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * Internal factory declarations for the 16 (application, variant)
+ * Internal factory declarations for the 12 (program, variant)
  * kernels, plus small helpers shared by the grid apps.
  *
- * Each kernel lives in its own translation unit written as the
- * complete program a user would write against the public API; the
- * Figure 11(a) experiment diffs those files textually, so they are
- * deliberately self-contained rather than factored.
+ * Each variant of BT, CG and FT lives in its own translation unit
+ * written as the complete program a user would write against the
+ * public API; the Figure 11(a) experiment diffs those files
+ * textually, so they are deliberately self-contained rather than
+ * factored. SP has no files of its own: makeNpbApp runs BT's
+ * program with spPointWork.
  */
 
 #ifndef CENJU_WORKLOAD_KERNELS_KERNELS_HH
@@ -25,11 +27,6 @@ std::unique_ptr<NpbApp> makeBtSeq(const NpbConfig &);
 std::unique_ptr<NpbApp> makeBtMpi(const NpbConfig &);
 std::unique_ptr<NpbApp> makeBtDsm1(const NpbConfig &);
 std::unique_ptr<NpbApp> makeBtDsm2(const NpbConfig &);
-
-std::unique_ptr<NpbApp> makeSpSeq(const NpbConfig &);
-std::unique_ptr<NpbApp> makeSpMpi(const NpbConfig &);
-std::unique_ptr<NpbApp> makeSpDsm1(const NpbConfig &);
-std::unique_ptr<NpbApp> makeSpDsm2(const NpbConfig &);
 
 std::unique_ptr<NpbApp> makeCgSeq(const NpbConfig &);
 std::unique_ptr<NpbApp> makeCgMpi(const NpbConfig &);

@@ -51,18 +51,13 @@ makeNpbApp(AppKind app, Variant variant, const NpbConfig &cfg)
             return makeFtDsm2(cfg);
         }
         break;
-      case AppKind::SP:
-        switch (variant) {
-          case Variant::Seq:
-            return makeSpSeq(cfg);
-          case Variant::Mpi:
-            return makeSpMpi(cfg);
-          case Variant::Dsm1:
-            return makeSpDsm1(cfg);
-          case Variant::Dsm2:
-            return makeSpDsm2(cfg);
-        }
-        break;
+      case AppKind::SP: {
+        // SP is BT's program with SP's lighter per-point work.
+        NpbConfig sp = cfg;
+        if (sp.pointWork == 0)
+            sp.pointWork = spPointWork;
+        return makeNpbApp(AppKind::BT, variant, sp);
+      }
     }
     panic("makeNpbApp: bad app/variant");
 }
@@ -78,6 +73,8 @@ runNpb(DsmSystem &sys, NpbApp &app)
 std::string
 npbSourcePath(AppKind app, Variant variant)
 {
+    if (app == AppKind::SP)
+        app = AppKind::BT; // SP runs BT's program (makeNpbApp)
     std::string name = nameOf(app);
     for (auto &c : name)
         c = static_cast<char>(std::tolower(c));

@@ -16,16 +16,16 @@
  * and locality structure*, scaled so a 128-node run simulates in
  * seconds (a documented substitution — see DESIGN.md):
  *
- *  - BT/SP: ADI-style line sweeps over a 3D grid (BT heavier
- *    compute per point than SP);
+ *  - BT/SP: ADI-style line sweeps over a 3D grid, one program
+ *    that SP runs with less compute per point than BT;
  *  - CG: sparse matrix-vector products whose rows gather from
  *    pseudo-random locations of a distributed vector;
  *  - FT: per-slab transforms plus an all-to-all transpose.
  *
- * Each (application, variant) pair lives in its own source file,
- * written as the full program a user would write; the Figure 11(a)
- * rewriting-ratio experiment diffs those files against the seq
- * variant with the textdiff library.
+ * Each variant of BT, CG and FT lives in its own source file,
+ * written as the full program a user would write, and SP runs BT's
+ * files. The Figure 11(a) rewriting-ratio experiment diffs those
+ * files against the seq variant with the textdiff library.
  */
 
 #ifndef CENJU_WORKLOAD_NPB_HH
@@ -102,9 +102,9 @@ struct NpbConfig
     unsigned iterations = 2;
 
     /**
-     * Override the per-point instruction weight (0 = the
-     * application's default from kernels.hh). Calibration knob for
-     * the scaled problems.
+     * Per-point instruction weight; 0 means the application's
+     * default from kernels.hh. For SP, makeNpbApp sets SP's weight
+     * before it builds BT's program.
      */
     unsigned pointWork = 0;
 
@@ -132,7 +132,7 @@ class NpbApp
     virtual double checksum() const { return 0.0; }
 };
 
-/** Instantiate an application variant. */
+/** Instantiate an application variant (SP: BT's program). */
 std::unique_ptr<NpbApp> makeNpbApp(AppKind app, Variant variant,
                                    const NpbConfig &cfg);
 
@@ -143,9 +143,9 @@ std::unique_ptr<NpbApp> makeNpbApp(AppKind app, Variant variant,
 RunStats runNpb(DsmSystem &sys, NpbApp &app);
 
 /**
- * Path of the kernel source file implementing (app, variant) —
- * input to the rewriting-ratio experiment. Rooted at the source
- * tree (CENJU_SOURCE_DIR compile definition).
+ * Path of the kernel source file implementing (app, variant),
+ * BT's for SP — input to the rewriting-ratio experiment. Rooted at
+ * the source tree (CENJU_SOURCE_DIR compile definition).
  */
 std::string npbSourcePath(AppKind app, Variant variant);
 

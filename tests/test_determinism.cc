@@ -70,8 +70,9 @@ TEST(Determinism, GoldenDigests16Nodes)
         EXPECT_EQ(digestFor(g.seed, g.nodes, &steps), g.digest)
             << "seed " << g.seed
             << ": kernel change altered event ordering";
-        if (g.steps)
+        if (g.steps) {
             EXPECT_EQ(steps, g.steps) << "seed " << g.seed;
+        }
     }
 }
 

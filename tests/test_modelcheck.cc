@@ -150,6 +150,13 @@ TEST(Explorer, SkipReservationBugDetected)
     EXPECT_TRUE(queue_inv)
         << "the step-local queue invariant must fire too";
     EXPECT_FALSE(cex.stallDiagnosis.empty());
+    // Tick order: the cause is listed before the stall it led to.
+    ASSERT_FALSE(cex.violations.empty());
+    EXPECT_EQ(cex.violations.front().invariant, "reservation-queue");
+    for (std::size_t i = 1; i < cex.violations.size(); ++i) {
+        EXPECT_LE(cex.violations[i - 1].when, cex.violations[i].when)
+            << "violation " << i << " is out of tick order";
+    }
 
     // The counterexample replays: text round-trip, then re-run.
     std::string text = check::serializeTrace(cex.trace);

@@ -120,8 +120,9 @@ TEST(Network, UnicastDeliversOnceWithCalibratedLatency)
     f.eq.run();
     ASSERT_EQ(f.eps[9]->arrivals.size(), 1u);
     for (NodeId n = 0; n < 16; ++n) {
-        if (n != 9)
+        if (n != 9) {
             EXPECT_TRUE(f.eps[n]->arrivals.empty());
+        }
     }
     // Uncontended traversal: inject + eject overhead (280) plus one
     // stage latency per stage (2 x 130) = 540 ns.

@@ -30,7 +30,7 @@ tinyCfg()
 
 double
 runChecksum(AppKind app, Variant v, unsigned nodes,
-            const NpbConfig &cfg)
+            const NpbConfig &cfg, RunStats *stats = nullptr)
 {
     SystemConfig sc;
     sc.numNodes = nodes;
@@ -39,6 +39,8 @@ runChecksum(AppKind app, Variant v, unsigned nodes,
     RunStats r = runNpb(sys, *prog);
     EXPECT_GT(r.execTime, 0u);
     EXPECT_GT(r.memAccesses, 0u);
+    if (stats)
+        *stats = r;
     return prog->checksum();
 }
 
@@ -101,6 +103,24 @@ TEST(Workload, FtAndCgParallelMatchSeqExactly)
         double mpi = runChecksum(app, Variant::Mpi, 4, cfg);
         EXPECT_DOUBLE_EQ(seq, d2) << nameOf(app);
         EXPECT_DOUBLE_EQ(seq, mpi) << nameOf(app);
+    }
+}
+
+TEST(Workload, SpIsBtWithLighterPointWork)
+{
+    // SP runs BT's program with spPointWork (makeNpbApp): the same
+    // answer and accesses, a third of BT's compute (40 vs 120).
+    NpbConfig cfg = tinyCfg();
+    for (Variant v : {Variant::Seq, Variant::Mpi, Variant::Dsm1,
+                      Variant::Dsm2}) {
+        unsigned nodes = v == Variant::Seq ? 1 : 4;
+        RunStats bt, sp;
+        double bt_sum = runChecksum(AppKind::BT, v, nodes, cfg, &bt);
+        double sp_sum = runChecksum(AppKind::SP, v, nodes, cfg, &sp);
+        EXPECT_EQ(sp_sum, bt_sum) << nameOf(v);
+        EXPECT_EQ(sp.memAccesses, bt.memAccesses) << nameOf(v);
+        EXPECT_GT(sp.computeTime, 0u) << nameOf(v);
+        EXPECT_EQ(bt.computeTime, 3 * sp.computeTime) << nameOf(v);
     }
 }
 
