@@ -9,25 +9,37 @@
  * deterministic. An event gets its place in that order in one of
  * three ways:
  *
- *  - the heap: schedule() for a later tick pushes a (when, seq)
- *    record onto a binary heap;
- *  - the lane: schedule() for now() appends to a FIFO. Every lane
- *    entry is at now() and lane seqs grow in push order, so the
- *    lane is already sorted and costs O(1); runOne() takes
- *    whichever of the lane head and the heap top comes first;
+ *  - the calendar: schedule() for a tick less than calendarSpan
+ *    ticks ahead appends the event to that tick's bucket. The
+ *    calendar has one bucket per tick of the span, indexed by the
+ *    tick's low bits; every event in it lies in [now(), now() +
+ *    span), so a bucket holds one tick at a time. A new event's seq
+ *    is the newest, so appending keeps each bucket in seq order at
+ *    O(1), and an occupancy bitmap finds the first non-empty bucket
+ *    from now(). The model's hit, hop and memory delays are all
+ *    shorter than the span, and the bucket at now() holds the
+ *    switches' zero-delay arbitrations;
+ *  - the overflow heap: schedule() for a tick the span or more
+ *    ahead pushes a (when, seq) record onto a binary heap. runOne()
+ *    runs whichever of the calendar's first event and the heap top
+ *    comes first in (when, seq), so a heap event keeps its place
+ *    among calendar events scheduled later for its tick;
  *  - a mark: mark() reserves the next seq for a tick without
  *    scheduling anything, and scheduleAt() later puts an event at
- *    exactly that (when, seq) point. A mark nothing is scheduled at
- *    costs nothing: it is an event that never exists. The fabric
- *    marks each port's release point at grant and schedules the
- *    release only when a packet is waiting for it, so a release
- *    that runs has the place a release scheduled at every grant
- *    would have had (PortRelease, network/xbar_switch.hh).
+ *    exactly that (when, seq) point: in order within its bucket, or
+ *    on the heap when the mark is the span or more ahead. A mark
+ *    nothing is scheduled at costs nothing: it is an event that
+ *    never exists. The fabric marks each port's release point at
+ *    grant and schedules the release only when a packet is waiting
+ *    for it, so a release that runs has the place a release
+ *    scheduled at every grant would have had (PortRelease,
+ *    network/xbar_switch.hh).
  *
  * The kernel is allocation-free in steady state (docs/PERF.md):
  * callbacks are InlineFunction with 64 bytes of inline capture
- * storage, the heap and the lane hold small (when, seq, slot)
- * records, and callback slots are recycled through a freelist, so a
+ * storage, callback slots are recycled through a freelist, the
+ * calendar threads its buckets through per-slot (when, seq, next)
+ * records, and the heap holds small (when, seq, slot) records, so a
  * typical schedule/run cycle touches the heap allocator zero times.
  */
 
@@ -35,12 +47,13 @@
 #define CENJU_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "inline_function.hh"
 #include "logging.hh"
-#include "ring.hh"
 #include "types.hh"
 
 namespace cenju
@@ -93,6 +106,10 @@ class EventQueue
         std::uint64_t seq = 0;
     };
 
+    /** Events less than this many ticks ahead go into the calendar;
+     * later ones go on the overflow heap. */
+    static constexpr Tick calendarSpan = 1024;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -108,13 +125,14 @@ class EventQueue
     schedule(Tick when, Callback cb)
     {
         checkNotPast(when);
-        Entry e{when, _nextSeq++, store(std::move(cb))};
-        if (when == _now)
-            _lane.push_back(e);
+        std::uint32_t slot = store(std::move(cb));
+        std::uint64_t seq = _nextSeq++;
+        if (when - _now < calendarSpan)
+            append(Link{when, seq, noSlot}, slot);
         else
-            push(e);
+            push(Entry{when, seq, slot});
         if (_observer)
-            _observer->onScheduled(e.slot, when);
+            _observer->onScheduled(slot, when);
     }
 
     /**
@@ -157,10 +175,13 @@ class EventQueue
             panic("scheduling at a reached mark (%llu, seq %llu)",
                   (unsigned long long)m.when,
                   (unsigned long long)m.seq);
-        Entry e{m.when, m.seq, store(std::move(cb))};
-        push(e);
+        std::uint32_t slot = store(std::move(cb));
+        if (m.when - _now < calendarSpan)
+            insert(Link{m.when, m.seq, noSlot}, slot);
+        else
+            push(Entry{m.when, m.seq, slot});
         if (_observer)
-            _observer->onScheduled(e.slot, m.when);
+            _observer->onScheduled(slot, m.when);
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
@@ -171,18 +192,19 @@ class EventQueue
     }
 
     /** True if no events remain. */
-    bool empty() const { return _heap.empty() && _lane.empty(); }
+    bool empty() const { return _calendarSize == 0 && _heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return _heap.size() + _lane.size(); }
+    std::size_t size() const { return _calendarSize + _heap.size(); }
 
     /** Time of the next pending event (maxTick if none). */
     Tick
     nextEventTick() const
     {
-        if (!_lane.empty())
-            return _now; // lane entries are all at now()
-        return _heap.empty() ? maxTick : _heap.front().when;
+        Tick next = _heap.empty() ? maxTick : _heap.front().when;
+        if (std::uint32_t slot = calendarFirst(); slot != noSlot)
+            next = std::min(next, _links[slot].when);
+        return next;
     }
 
     /**
@@ -192,26 +214,10 @@ class EventQueue
     bool
     runOne()
     {
-        if (empty()) {
-            _passedSeq = _nextSeq;
-            return false;
-        }
-        Entry e = takeNext();
-        // The callback may schedule new events, so move it out of
-        // its slot (and recycle the slot) before invoking.
-        Callback cb = std::move(_slots[e.slot]);
-        _freeSlots.push_back(e.slot);
-        _now = e.when;
-        _passedSeq = e.seq + 1;
-        ++_executed;
-        if (_observer) {
-            _observer->onExecuteBegin(e.slot, e.when);
-            cb();
-            _observer->onExecuteEnd();
-        } else {
-            cb();
-        }
-        return true;
+        if (runFirst(maxTick))
+            return true;
+        _passedSeq = _nextSeq;
+        return false;
     }
 
     /** Run until the queue drains. @return number of events run. */
@@ -234,10 +240,8 @@ class EventQueue
     runUntil(Tick limit)
     {
         std::uint64_t n = 0;
-        while (!empty() && nextEventTick() <= limit) {
-            runOne();
+        while (runFirst(limit))
             ++n;
-        }
         if (_now <= limit) {
             _now = limit;
             _passedSeq = _nextSeq;
@@ -263,19 +267,21 @@ class EventQueue
     forEachPending(Fn &&fn) const
     {
         checkUnmarked();
-        for (const Entry &e : _lane)
-            fn(e.slot, e.when);
+        forEachCalendared(
+            [&](std::uint32_t slot) { fn(slot, _links[slot].when); });
         for (const Entry &e : _heap)
             fn(e.slot, e.when);
     }
 
     /**
-     * Re-establish the tie-break order of all pending events: sort
-     * by tick, breaking ties with @p slotLess over callback slots,
-     * and reassign dense insertion sequence numbers in that order.
-     * A sorted array satisfies the binary-heap invariant, so the
-     * result is a valid heap. The sharded engine calls this after a
-     * window barrier merges cross-shard arrivals, restoring the tie
+     * Re-establish the tie-break order of all pending events: flush
+     * the calendar onto the heap, sort by tick, breaking ties with
+     * @p slotLess over callback slots, and reassign dense insertion
+     * sequence numbers in that order. A sorted array satisfies the
+     * binary-heap invariant, so the result is a valid heap, and
+     * runOne() compares the events scheduled later, in the calendar,
+     * against its top as usual. The sharded engine calls this after
+     * a window barrier merges cross-shard arrivals, restoring the tie
      * order the sequential run would have used.
      */
     template <typename SlotLess>
@@ -283,8 +289,12 @@ class EventQueue
     resortPending(SlotLess &&slotLess)
     {
         checkUnmarked();
-        for (; !_lane.empty(); _lane.pop_front())
-            _heap.push_back(_lane.front());
+        forEachCalendared([this](std::uint32_t slot) {
+            const Link &l = _links[slot];
+            _heap.push_back(Entry{l.when, l.seq, slot});
+        });
+        _occupied.fill(0);
+        _calendarSize = 0;
         std::sort(_heap.begin(), _heap.end(),
                   [&](const Entry &a, const Entry &b) {
                       if (a.when != b.when)
@@ -298,6 +308,9 @@ class EventQueue
     }
 
   private:
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
+    static constexpr std::size_t occupancyWords = calendarSpan / 64;
+
     /** Heap record; the callback lives in _slots[slot]. */
     struct Entry
     {
@@ -306,9 +319,27 @@ class EventQueue
         std::uint32_t slot;
     };
 
+    /** A calendar event's place, kept per slot: next is the slot
+     * after it in its bucket. */
+    struct Link
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t next;
+    };
+
+    /** One tick's calendar events, in seq order; valid while the
+     * bucket's occupancy bit is set. */
+    struct Bucket
+    {
+        std::uint32_t head = noSlot;
+        std::uint32_t tail = noSlot;
+    };
+
     /** Strict ordering: earliest tick first, FIFO within a tick. */
+    template <typename A, typename B>
     static bool
-    before(const Entry &a, const Entry &b)
+    before(const A &a, const B &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
@@ -344,8 +375,146 @@ class EventQueue
         } else {
             slot = static_cast<std::uint32_t>(_slots.size());
             _slots.push_back(std::move(cb));
+            _links.emplace_back();
         }
         return slot;
+    }
+
+    /** Add @p l's event in @p slot at the end of its bucket. @pre its
+     * seq is the newest in the bucket */
+    void
+    append(const Link &l, std::uint32_t slot)
+    {
+        _links[slot] = l;
+        std::size_t i = l.when % calendarSpan;
+        Bucket &b = _buckets[i];
+        if (occupied(i)) {
+            _links[b.tail].next = slot;
+        } else {
+            b.head = slot;
+            _occupied[i / 64] |= bit(i);
+        }
+        b.tail = slot;
+        ++_calendarSize;
+    }
+
+    /** Add @p l's event in @p slot to its bucket in seq order. */
+    void
+    insert(const Link &l, std::uint32_t slot)
+    {
+        std::size_t i = l.when % calendarSpan;
+        Bucket &b = _buckets[i];
+        if (!occupied(i) || _links[b.tail].seq < l.seq) {
+            append(l, slot);
+            return;
+        }
+        // A later seq is in the bucket, so the walk stops before its
+        // end and the tail stays.
+        std::uint32_t *at = &b.head;
+        while (_links[*at].seq < l.seq)
+            at = &_links[*at].next;
+        _links[slot] = Link{l.when, l.seq, *at};
+        *at = slot;
+        ++_calendarSize;
+    }
+
+    /** Bucket @p i's bit in its occupancy word. */
+    static std::uint64_t
+    bit(std::size_t i)
+    {
+        return std::uint64_t(1) << (i % 64);
+    }
+
+    bool
+    occupied(std::size_t i) const
+    {
+        return (_occupied[i / 64] & bit(i)) != 0;
+    }
+
+    /** Slot of the calendar's first event, or noSlot if it is empty.
+     * Its ticks lie in [now(), now() + span), so the first occupied
+     * bucket at or after now()'s, wrapping round, holds the earliest
+     * tick. */
+    std::uint32_t
+    calendarFirst() const
+    {
+        if (_calendarSize == 0)
+            return noSlot;
+        std::size_t i = _now % calendarSpan;
+        std::size_t w = i / 64;
+        std::uint64_t bits = _occupied[w] & -bit(i); // bits >= i
+        while (bits == 0) {
+            w = (w + 1) % occupancyWords;
+            bits = _occupied[w];
+        }
+        return _buckets[w * 64 + std::countr_zero(bits)].head;
+    }
+
+    /** Remove the calendar's first event, in @p slot. */
+    void
+    popCalendar(std::uint32_t slot)
+    {
+        std::size_t i = _links[slot].when % calendarSpan;
+        _buckets[i].head = _links[slot].next;
+        if (_buckets[i].head == noSlot)
+            _occupied[i / 64] &= ~bit(i);
+        --_calendarSize;
+    }
+
+    /** Visit the slot of every calendar event. */
+    template <typename Fn>
+    void
+    forEachCalendared(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < occupancyWords; ++w) {
+            for (std::uint64_t bits = _occupied[w]; bits != 0;
+                 bits &= bits - 1) {
+                const Bucket &b =
+                    _buckets[w * 64 + std::countr_zero(bits)];
+                for (std::uint32_t s = b.head; s != noSlot;
+                     s = _links[s].next)
+                    fn(s);
+            }
+        }
+    }
+
+    /**
+     * Run the first pending event if its tick is <= @p limit.
+     * @retval false if none is, leaving now() as it was
+     */
+    bool
+    runFirst(Tick limit)
+    {
+        std::uint32_t slot = calendarFirst();
+        bool fromHeap = !_heap.empty() &&
+                        (slot == noSlot ||
+                         before(_heap.front(), _links[slot]));
+        if (!fromHeap && slot == noSlot)
+            return false;
+        Entry e = fromHeap
+                      ? _heap.front()
+                      : Entry{_links[slot].when, _links[slot].seq, slot};
+        if (e.when > limit)
+            return false;
+        if (fromHeap)
+            popTop();
+        else
+            popCalendar(slot);
+        // The callback may schedule new events, so move it out of
+        // its slot (and recycle the slot) before invoking.
+        Callback cb = std::move(_slots[e.slot]);
+        _freeSlots.push_back(e.slot);
+        _now = e.when;
+        _passedSeq = e.seq + 1;
+        ++_executed;
+        if (_observer) {
+            _observer->onExecuteBegin(e.slot, e.when);
+            cb();
+            _observer->onExecuteEnd();
+        } else {
+            cb();
+        }
+        return true;
     }
 
     void
@@ -353,21 +522,6 @@ class EventQueue
     {
         _heap.push_back(e);
         siftUp(_heap.size() - 1);
-    }
-
-    /** Remove and return the first pending entry. @pre !empty() */
-    Entry
-    takeNext()
-    {
-        if (!_lane.empty() &&
-            (_heap.empty() || before(_lane.front(), _heap.front()))) {
-            Entry e = _lane.front();
-            _lane.pop_front();
-            return e;
-        }
-        Entry e = _heap.front();
-        popTop();
-        return e;
     }
 
     void
@@ -409,9 +563,13 @@ class EventQueue
         _heap[i] = last;
     }
 
-    std::vector<Entry> _heap;
-    Ring<Entry> _lane; ///< events at now(), in seq order
-    std::vector<Callback> _slots;      ///< indexed by Entry::slot
+    std::array<Bucket, calendarSpan> _buckets;
+    /** Bit i is set while _buckets[i] is non-empty. */
+    std::array<std::uint64_t, occupancyWords> _occupied{};
+    std::size_t _calendarSize = 0;
+    std::vector<Entry> _heap; ///< events the span or more ahead
+    std::vector<Callback> _slots; ///< indexed by slot
+    std::vector<Link> _links;     ///< indexed by slot
     std::vector<std::uint32_t> _freeSlots;
     Tick _now = 0;
     std::uint64_t _nextSeq = 1; ///< seq 0 is the default Mark's

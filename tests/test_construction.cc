@@ -23,6 +23,7 @@
 #include "memory/msg_queue.hh"
 #include "network/gather_table.hh"
 #include "network/network.hh"
+#include "sim/event_queue.hh"
 #include "sim/ring.hh"
 
 namespace
@@ -253,6 +254,43 @@ TEST(Construction, GatherTableReserveAbsorbForwardCycle)
     EXPECT_TRUE(t.slotFree(id));
     EXPECT_TRUE(t.canReserve(alias));
     EXPECT_EQ(t.activeCount(), 0u);
+}
+
+TEST(Construction, EventQueueSteadyStateAllocatesNothing)
+{
+    // Each cycle puts events in all three of the kernel's places:
+    // zero-delay followers in the calendar's bucket at now(), timed
+    // events within the calendar span, events the span or more
+    // ahead on the overflow heap, and events at marks on either
+    // side of the span. The first cycles grow the slots and the
+    // heap to their high-water marks; identical cycles after that
+    // must not allocate.
+    constexpr Tick span = EventQueue::calendarSpan;
+    EventQueue eq;
+    std::uint64_t ran = 0;
+    auto cycle = [&] {
+        EventQueue::Mark near = eq.mark(eq.now() + 1);
+        EventQueue::Mark far = eq.mark(eq.now() + 2 * span);
+        for (Tick i = 0; i < 8; ++i) {
+            eq.scheduleAfter(1 + i * 100, [&eq, &ran] {
+                ++ran;
+                eq.scheduleAfter(0, [&ran] { ++ran; });
+            });
+            eq.scheduleAfter(span + i * 300, [&ran] { ++ran; });
+        }
+        eq.scheduleAfter(0, [&ran] { ++ran; });
+        eq.scheduleAt(near, [&ran] { ++ran; });
+        eq.scheduleAt(far, [&ran] { ++ran; });
+        eq.run();
+    };
+    for (int i = 0; i < 4; ++i)
+        cycle();
+    EXPECT_EQ(bytesAllocatedBy([&] {
+                  for (int i = 0; i < 100; ++i)
+                      cycle();
+              }),
+              0u);
+    EXPECT_EQ(ran, 104u * 27);
 }
 
 TEST(Construction, FabricAt1024NodesStaysUnderPerSwitchBound)

@@ -95,10 +95,11 @@ namespace
 {
 
 /**
- * One queue under a random mix of zero-delay schedules (the lane),
- * timed schedules (the heap) and marks, with everything scheduled
- * recorded as (when, seq) for the reference sort. The model's seq
- * counts schedule() and mark() calls, exactly as the queue's does.
+ * One queue under a random mix of schedules and marks at delays on
+ * both sides of the calendar span (the calendar and the overflow
+ * heap), with everything scheduled recorded as (when, seq) for the
+ * reference sort. The model's seq counts schedule() and mark()
+ * calls, exactly as the queue's does.
  */
 struct MixedRun
 {
@@ -112,6 +113,30 @@ struct MixedRun
     };
 
     explicit MixedRun(std::uint64_t seed) : rng{seed} {}
+
+    /** A delay weighted to the calendar's edges: 0, small, span - 1,
+     * span, span + 1 and a few spans, so same-tick events meet from
+     * both structures and bucket indices wrap. */
+    Tick
+    delay()
+    {
+        constexpr Tick span = EventQueue::calendarSpan;
+        switch (rng.below(8)) {
+          case 0:
+            return 0;
+          case 1:
+          case 2:
+            return 1 + rng.below(15);
+          case 3:
+            return span - 1;
+          case 4:
+            return span;
+          case 5:
+            return span + 1;
+          default:
+            return span * (2 + rng.below(3)) + rng.below(3) - 1;
+        }
+    }
 
     EventQueue eq;
     Rng rng;
@@ -188,11 +213,12 @@ TEST(EventQueueProperty, RandomInterleavingMatchesReferenceModel)
         // Random mix of zero-delay schedules, timed schedules, marks
         // reserved at offsets >= 0 (now() included), marks scheduled
         // from outside any event, events that schedule a mark when
-        // they run, and runOne() calls, then a full drain. Marks
-        // still reserved at the end are never scheduled.
+        // they run, runOne() calls and runUntil() jumps, at offsets
+        // on both sides of the calendar span, then a full drain.
+        // Marks still reserved at the end are never scheduled.
         for (unsigned op = 0; op < 400; ++op) {
             Tick now = r.eq.now();
-            switch (r.rng.below(8)) {
+            switch (r.rng.below(11)) {
               case 0:
                 r.schedule(now, false);
                 break;
@@ -209,6 +235,15 @@ TEST(EventQueueProperty, RandomInterleavingMatchesReferenceModel)
               case 5:
                 r.schedule(now + r.rng.below(8), true);
                 break;
+              case 6:
+                r.schedule(now + r.delay(), r.rng.below(2) == 0);
+                break;
+              case 7:
+                r.reserve(now + r.delay());
+                break;
+              case 8:
+                r.eq.runUntil(now + r.delay());
+                break;
               default:
                 r.eq.runOne();
                 break;
@@ -219,8 +254,8 @@ TEST(EventQueueProperty, RandomInterleavingMatchesReferenceModel)
         }
 
         // The queue's contract: everything scheduled runs in
-        // (when, seq) order, whether it was scheduled on the heap,
-        // on the lane or at a mark reserved earlier.
+        // (when, seq) order, whether it was scheduled into the
+        // calendar, on the heap or at a mark reserved earlier.
         std::vector<ModelEvent> model = r.model;
         std::sort(model.begin(), model.end(),
                   [](const ModelEvent &a, const ModelEvent &b) {
@@ -241,8 +276,9 @@ TEST(EventQueueProperty, LaneEntriesAreSeenByEveryQuery)
 {
     EventQueue eq;
     std::vector<int> order;
-    // Three zero-delay events on the lane and one timed event on
-    // the heap.
+    // Three zero-delay events in the calendar's bucket at now()
+    // (what was once a separate lane) and one timed event in a
+    // later bucket.
     for (int i = 0; i < 3; ++i)
         eq.schedule(0, [&order, i] { order.push_back(i); });
     eq.schedule(4, [&order] { order.push_back(3); });
@@ -258,9 +294,9 @@ TEST(EventQueueProperty, LaneEntriesAreSeenByEveryQuery)
     for (std::uint32_t i = 0; i < 4; ++i)
         EXPECT_EQ(seen[i], std::make_pair(i, i < 3 ? Tick(0) : 4));
 
-    // resortPending folds the lane into the heap: reversing the
-    // slot order reverses the three same-tick events, which the
-    // lane alone would have run in schedule order.
+    // resortPending flushes the calendar onto the heap: reversing
+    // the slot order reverses the three same-tick events, which the
+    // bucket alone would have run in schedule order.
     eq.resortPending(
         [](std::uint32_t a, std::uint32_t b) { return a > b; });
     EXPECT_EQ(eq.size(), 4u);
@@ -271,8 +307,9 @@ TEST(EventQueueProperty, LaneEntriesAreSeenByEveryQuery)
 TEST(EventQueueProperty, RunUntilDrainsTheLaneAtItsLimit)
 {
     // An event at the limit schedules a zero-delay follower, which
-    // lands on the lane at the limit and must run before runUntil
-    // returns; the follower's own timed child stays queued.
+    // lands in the calendar's bucket at the limit (what was once a
+    // separate lane) and must run before runUntil returns; the
+    // follower's own timed child stays queued.
     EventQueue eq;
     std::vector<Tick> ran;
     eq.schedule(10, [&] {
@@ -288,6 +325,81 @@ TEST(EventQueueProperty, RunUntilDrainsTheLaneAtItsLimit)
     EXPECT_EQ(eq.nextEventTick(), 11u);
     EXPECT_EQ(eq.runUntil(11), 1u);
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueProperty, HeapEventRunsBeforeALaterCalendarEventAtItsTick)
+{
+    // An event scheduled the span or more ahead waits on the
+    // overflow heap. Events scheduled later for the same tick, from
+    // within the span, go into the calendar with newer seqs: the
+    // heap's event must run first at that tick, then the calendar's
+    // in seq order, and last the zero-delay event the heap's event
+    // schedules.
+    constexpr Tick span = EventQueue::calendarSpan;
+    for (Tick ahead : {span, span + 1, 3 * span}) {
+        EventQueue eq;
+        std::vector<int> order;
+        eq.schedule(ahead, [&] {
+            order.push_back(1);
+            eq.scheduleAfter(0, [&] { order.push_back(4); });
+        });
+        eq.schedule(ahead - span + 1, [&] {
+            eq.schedule(ahead, [&] { order.push_back(2); });
+            eq.schedule(ahead, [&] { order.push_back(3); });
+        });
+        EXPECT_EQ(eq.nextEventTick(), ahead - span + 1);
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4})) << ahead;
+    }
+}
+
+TEST(EventQueueProperty, MarkReservedBeyondTheSpanKeepsItsPlace)
+{
+    // A mark is reserved two spans ahead (seq 1), then an event is
+    // scheduled at its tick, which goes on the heap (seq 2). Once
+    // that tick is within the span, an event scheduled for it goes
+    // into the calendar (seq 4), and only then is an event
+    // scheduled at the mark, which the calendar must put ahead of
+    // seq 4. They must run in seq order: the mark's event, the
+    // heap's, then the calendar's.
+    constexpr Tick span = EventQueue::calendarSpan;
+    EventQueue eq;
+    std::vector<int> order;
+    EventQueue::Mark m = eq.mark(2 * span);
+    eq.schedule(2 * span, [&] { order.push_back(2); });
+    eq.schedule(span + 1, [&] {
+        eq.schedule(2 * span, [&] { order.push_back(3); });
+        eq.scheduleAt(m, [&] { order.push_back(1); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(eq.reached(m));
+}
+
+TEST(EventQueueProperty, CalendarBucketsWrapAroundTheSpan)
+{
+    // From now() = span - 8, the ticks of the next span map to
+    // bucket indices that wrap past the calendar's end: now() + 8
+    // is bucket 0, and now() + span - 1 lands just below now()'s
+    // own bucket, so it is found last. Scheduled in scrambled order,
+    // the events must still run in tick order, lap after lap.
+    constexpr Tick span = EventQueue::calendarSpan;
+    EventQueue eq;
+    std::vector<Tick> ran;
+    for (Tick base = span - 8; base < 4 * span; base += span - 1) {
+        eq.runUntil(base);
+        ran.clear();
+        for (Tick d : {span - 1, Tick(20), Tick(7), Tick(8), Tick(0),
+                       span / 2, Tick(9), span - 9, span - 8})
+            eq.scheduleAfter(d, [&] { ran.push_back(eq.now()); });
+        EXPECT_EQ(eq.nextEventTick(), base);
+        eq.run();
+        std::vector<Tick> expect;
+        for (Tick d : {Tick(0), Tick(7), Tick(8), Tick(9), Tick(20),
+                       span / 2, span - 9, span - 8, span - 1})
+            expect.push_back(base + d);
+        EXPECT_EQ(ran, expect) << "lap from " << base;
+    }
 }
 
 TEST(EventQueueProperty, MarkAtNowReadsReachedOnceTheQueuePassesIt)
