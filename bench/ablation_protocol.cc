@@ -9,10 +9,10 @@
  * single-request retry count. The queuing protocol's advantage
  * grows as contention concentrates.
  *
- * The phase-priority backend is included as a third column: with no
- * phase skew in this workload it must track queuing exactly (same
- * parking discipline, FIFO within a phase), which doubles as a
- * cheap sanity check that the policy seam adds no retry traffic.
+ * The phase-priority protocol is included as a third column: with
+ * no phase skew in this workload it must track queuing exactly
+ * (same parking discipline, FIFO within a phase), which doubles as
+ * a cheap sanity check that epoch ordering adds no retry traffic.
  */
 
 #include <functional>

@@ -10,12 +10,12 @@
  * requests park in the home's main-memory FIFO and are served in
  * order: zero retries, bounded completion spread.
  *
- * The phase-priority backend (src/policy/) parks like queuing but
- * orders the parked requests by phase epoch. With every node in the
- * same phase — this benchmark has no barriers — its curve must
- * coincide with queuing's; the contrast it exists for shows up when
+ * The phase-priority protocol parks like queuing but orders the
+ * parked requests by phase epoch. With every node in the same
+ * phase — this benchmark has no barriers — its curve must coincide
+ * with queuing's; the contrast it exists for shows up when
  * stragglers cross a phase boundary (tests/test_policy.cc,
- * docs/ARCHITECTURE.md "Protocol policies").
+ * docs/ARCHITECTURE.md "Coherence disciplines").
  */
 
 #include <algorithm>

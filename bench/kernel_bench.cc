@@ -498,12 +498,12 @@ benchHotspot(const Bench &b)
  * Queuing-protocol hot path: 256 masters hammer one home block
  * with stores, so every request after the first takes the
  * conflict path — park in the home's main-memory FIFO, serve in
- * order on reply completion. This is the inner loop the policy
- * seam (src/policy/) virtualized; the metric is stores per
- * *simulated* millisecond, bit-deterministic across hosts, so the
- * perf-smoke gate catches any extra hop or re-park the seam might
- * introduce exactly. The protocol is pinned (not CENJU_PROTOCOL)
- * for the same reason the stress goldens pin it.
+ * order on reply completion (HomeModule::park and afterReply). The
+ * metric is stores per *simulated* millisecond, bit-deterministic
+ * across hosts, so the perf-smoke gate catches any extra hop or
+ * re-park a change to the conflict path might introduce exactly.
+ * The protocol is pinned (not CENJU_PROTOCOL) for the same reason
+ * the stress goldens pin it.
  */
 Result
 benchCohQueuing256(const Bench &b)

@@ -81,7 +81,7 @@ issueOp(ReplaySys &sys, const CheckConfig &cfg, const Op &op,
       case OpKind::Epoch:
         // What Env::barrier() does on completion: advance the
         // node's phase epoch. Schedules nothing.
-        sys.nodes[op.node]->policy().advanceEpoch();
+        sys.nodes[op.node]->master().advanceEpoch();
         st.done = true;
         break;
     }
@@ -168,7 +168,7 @@ fingerprint(ReplaySys &sys, const CheckConfig &cfg)
         // maxPhase bounds them, keeping the space finite.
         os << "e";
         for (auto &node : sys.nodes)
-            os << node->policy().epoch() << ",";
+            os << node->master().epoch() << ",";
     }
     return os.str();
 }
@@ -319,15 +319,26 @@ transitionBatches(const ExplorerOptions &opt)
     std::vector<std::vector<Op>> batches;
     for (const Op &op : ops)
         batches.push_back({op});
-    if (opt.concurrency >= 2) {
-        // Ordered pairs from distinct nodes: racing requests that
-        // exercise the queuing/reservation machinery.
-        for (const Op &a : ops) {
-            for (const Op &b : ops) {
-                if (a.node != b.node)
-                    batches.push_back({a, b});
+    // Ordered batches of up to `concurrency` ops from distinct nodes,
+    // each size grown from the one below: racing requests that
+    // exercise the queuing/reservation machinery (three or more can
+    // park two requests behind a pending block).
+    for (std::size_t lo = 0, size = 1; size < opt.concurrency;
+         ++size) {
+        std::size_t hi = batches.size();
+        for (std::size_t i = lo; i < hi; ++i) {
+            const std::vector<Op> base = batches[i];
+            for (const Op &op : ops) {
+                if (std::none_of(base.begin(), base.end(),
+                                 [&op](const Op &o) {
+                                     return o.node == op.node;
+                                 })) {
+                    batches.push_back(base);
+                    batches.back().push_back(op);
+                }
             }
         }
+        lo = hi;
     }
     if (cfg.protocol == ProtocolKind::PhasePriority &&
         opt.maxPhase > 0) {

@@ -282,11 +282,11 @@ class Env : public EnvStats
     {
         return issue<void>(&syncTime, [this](auto done) {
             _sync.barrier([this, done] {
-                // A barrier is a phase boundary (src/policy/): the
-                // phase-priority backend orders conflicting requests
-                // by this epoch. Advancing it schedules nothing, so
-                // the other backends are bit-identically unaffected.
-                _node.policy().advanceEpoch();
+                // A barrier is a phase boundary: a phase-priority
+                // home orders conflicting requests by this epoch.
+                // Advancing it schedules nothing, so the other
+                // protocols are bit-identically unaffected.
+                _node.master().advanceEpoch();
                 done();
             });
         });

@@ -13,6 +13,7 @@
 #ifndef CENJU_CORE_SYNC_HH
 #define CENJU_CORE_SYNC_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -92,7 +93,8 @@ class SyncEngine
             engine().recv(child, up_tag,
                           [this, up_tag,
                            down_tag](std::vector<std::uint64_t> p) {
-                              _op.value += value_of(p[0]);
+                              _op.value +=
+                                  std::bit_cast<double>(p[0]);
                               --_op.pendingChildren;
                               proceed(up_tag, down_tag);
                           });
@@ -111,14 +113,17 @@ class SyncEngine
             return;
         }
         NodeId parent = (_id - 1) / 2;
-        engine().send(parent, up_tag, {bits(_op.value)}, 8,
+        engine().send(parent, up_tag,
+                      {std::bit_cast<std::uint64_t>(_op.value)}, 8,
                       [this, parent, down_tag] {
                           // Wait for the broadcast result.
                           engine().recv(
                               parent, down_tag,
                               [this, down_tag](
                                   std::vector<std::uint64_t> p) {
-                                  finish(value_of(p[0]), down_tag);
+                                  finish(
+                                      std::bit_cast<double>(p[0]),
+                                      down_tag);
                               });
                       });
     }
@@ -140,27 +145,11 @@ class SyncEngine
         unsigned n = numNodes();
         for (NodeId child : {2 * _id + 1, 2 * _id + 2}) {
             if (child < n) {
-                engine().send(child, down_tag, {bits(total)}, 8,
-                              [] {});
+                engine().send(child, down_tag,
+                              {std::bit_cast<std::uint64_t>(total)},
+                              8, [] {});
             }
         }
-    }
-
-    static std::uint64_t
-    bits(double v)
-    {
-        std::uint64_t b;
-        static_assert(sizeof(b) == sizeof(v));
-        __builtin_memcpy(&b, &v, sizeof(b));
-        return b;
-    }
-
-    static double
-    value_of(std::uint64_t b)
-    {
-        double v;
-        __builtin_memcpy(&v, &b, sizeof(v));
-        return v;
     }
 
     /**

@@ -64,9 +64,9 @@ class MsgQueue
 
     /**
      * Insert at position @p pos (0 = new head, size() = append),
-     * panicking on overflow like push(). Policy backends that park
-     * in priority order (src/policy/) use this; plain FIFO callers
-     * keep using push().
+     * panicking on overflow like push(). The home parks in epoch
+     * order with this under phase-priority; plain FIFO callers keep
+     * using push().
      */
     void
     insertAt(std::size_t pos, T item)

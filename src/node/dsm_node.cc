@@ -8,9 +8,8 @@ namespace cenju
 DsmNode::DsmNode(EventQueue &eq, Transport &net, NodeId id,
                  const ProtocolConfig &cfg)
     : _eq(eq), _net(net), _id(id), _cfg(cfg),
-      _cache(cfg.cacheBytes),
-      _policy(makePolicy(cfg.protocol)), _master(*this),
-      _home(*this), _slave(*this),
+      _cache(cfg.cacheBytes), _master(*this), _home(*this),
+      _slave(*this),
       _homeOutMem("home.outQueue",
                   static_cast<std::size_t>(net.numNodes()) *
                       maxOutstanding)

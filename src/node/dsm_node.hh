@@ -25,7 +25,6 @@
 #include "shard/context.hh"
 #include "memory/main_memory.hh"
 #include "memory/msg_queue.hh"
-#include "policy/policy.hh"
 #include "transport/transport.hh"
 #include "protocol/cache.hh"
 #include "protocol/home.hh"
@@ -73,9 +72,6 @@ class DsmNode : public Endpoint
     MasterModule &master() { return _master; }
     HomeModule &home() { return _home; }
     SlaveModule &slave() { return _slave; }
-
-    /** This node's coherence-policy backend (src/policy/). */
-    CoherencePolicy &policy() { return *_policy; }
 
     // --- address ranges declared as DsmSystem allocates them -------
 
@@ -238,10 +234,6 @@ class DsmNode : public Endpoint
     Cache _cache;
     MainMemory _privateMem;
     MainMemory _sharedMem;
-
-    /** Coherence flavour; constructed before the engines that call
-     * into it. */
-    std::unique_ptr<CoherencePolicy> _policy;
 
     MasterModule _master;
     HomeModule _home;

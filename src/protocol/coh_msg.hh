@@ -146,10 +146,10 @@ class CohPacket : public Packet, public Pooled<CohPacket>
     std::uint8_t mshr = 0;
 
     /**
-     * Phase epoch of the issuing master at send time (src/policy/):
-     * the phase-priority backend orders same-block conflicts by it
-     * at the home; the other backends ignore it. Rides in the
-     * existing 16-byte header, so wireSize() is unchanged.
+     * Phase epoch of the issuing master at send time: a
+     * phase-priority home orders same-block conflicts by it; the
+     * other protocols ignore it. Rides in the existing 16-byte
+     * header, so wireSize() is unchanged.
      */
     std::uint32_t reqEpoch = 0;
 

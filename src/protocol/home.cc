@@ -181,95 +181,65 @@ HomeModule::handleRequest(const CohPacket &pkt, Tick t)
     DirectoryEntry &e = entryFor(pkt.addr);
 
     if (isPending(e.state())) {
-        // Conflict: stage the request for the policy backend
-        // (src/policy/). An ownership request is converted to
+        // Conflict. An ownership request is converted to
         // read-exclusive first (appendix): by the time it is served
         // the master's copy may be gone.
-        _conflict = QueuedReq{pkt.type == CohMsgType::Ownership
+        return park(QueuedReq{pkt.type == CohMsgType::Ownership
                                   ? CohMsgType::ReadExclusive
                                   : pkt.type,
                               pkt.addr, pkt.master, pkt.mshr,
-                              pkt.reqEpoch};
-        return _node.policy().onHomeConflict(*this, pkt.addr,
-                                             pkt.reqEpoch, t);
+                              pkt.reqEpoch},
+                    t);
     }
 
     return handleRequestAs(pkt.type, pkt.addr, pkt.master, pkt.mshr,
                            t);
 }
 
-// --- HomeCtx: the mechanism the policy backends steer ---------------
-
-std::size_t
-HomeModule::parkedCount()
-{
-    return _reqQueue.size();
-}
-
-std::uint32_t
-HomeModule::parkedEpochAt(std::size_t i)
-{
-    return _reqQueue.items()[i].epoch;
-}
-
-Addr
-HomeModule::parkedAddrAt(std::size_t i)
-{
-    return _reqQueue.items()[i].addr;
-}
-
 Tick
-HomeModule::parkConflictAt(std::size_t pos, Tick t)
+HomeModule::park(const QueuedReq &req, Tick t)
 {
+    std::size_t n = _reqQueue.size();
+    std::size_t pos = n;
+    switch (_node.cfg().protocol) {
+      case ProtocolKind::Nack:
+        ++nacksSent;
+        emitAt(t, makeCohPacket(CohMsgType::Nack, _node.id(),
+                                req.master, req.addr, req.master,
+                                req.mshr));
+        return t;
+      case ProtocolKind::Queuing:
+        break;
+      case ProtocolKind::PhasePriority:
+        // Stable sort by epoch: in front of the first parked request
+        // from a later phase, FIFO among equal epochs.
+        for (std::size_t i = 0; i < n; ++i) {
+            if (req.epoch < _reqQueue.items()[i].epoch) {
+                pos = i;
+                break;
+            }
+        }
+        break;
+    }
+    Addr old_head = n != 0 ? _reqQueue.front().addr : 0;
     t += timing::memoryQueueAccess;
-    _reqQueue.insertAt(pos, _conflict);
+    _reqQueue.insertAt(pos, req);
     ++requestsQueued;
     queueWaitDepth.sample(static_cast<double>(_reqQueue.size()));
+    if (_node.cfg().injectBug == ProtoBug::SkipReservation)
+        return t;
+    if (n == 0) {
+        // The request sits at the top of the queue: mark its block
+        // so the completing reply triggers the scan.
+        entryFor(req.addr).setReservation(true);
+    } else if (pos == 0 && old_head != req.addr) {
+        // It overtook the old head and waits on a different block:
+        // the reservation bit sits on the head's block only, so it
+        // moves with the head.
+        entryFor(old_head).setReservation(false);
+        entryFor(req.addr).setReservation(true);
+    }
     return t;
-}
-
-Tick
-HomeModule::sendNack(Tick t)
-{
-    ++nacksSent;
-    auto nack = makeCohPacket(CohMsgType::Nack, _node.id(),
-                              _conflict.master, _conflict.addr,
-                              _conflict.master, _conflict.mshr);
-    emitAt(t, std::move(nack));
-    return t;
-}
-
-void
-HomeModule::setBlockReservation(Addr addr, bool on)
-{
-    entryFor(addr).setReservation(on);
-}
-
-bool
-HomeModule::headBlockPending()
-{
-    return isPending(entryFor(_reqQueue.front().addr).state());
-}
-
-Addr
-HomeModule::headAddr()
-{
-    return _reqQueue.front().addr;
-}
-
-Tick
-HomeModule::serveHead(Tick t)
-{
-    QueuedReq req = _reqQueue.pop();
-    t += timing::memoryQueueAccess;
-    return handleRequestAs(req.type, req.addr, req.master, req.mshr,
-                           t + timing::directoryAccess);
-}
-
-bool
-HomeModule::reservationBugActive()
-{
-    return _node.cfg().injectBug == ProtoBug::SkipReservation;
 }
 
 Tick
@@ -592,16 +562,27 @@ HomeModule::handleInvAck(const CohPacket &pkt, Tick t)
 Tick
 HomeModule::afterReply(Addr addr, Tick t)
 {
-    // Fast path — stays inline and policy-free: the vast majority
-    // of replies complete blocks without a reservation, and the
-    // policy is only consulted when parked work must resume
-    // (docs/PERF.md: the seam's virtual dispatch is off the inner
-    // loop).
     DirectoryEntry &e = entryFor(addr);
     if (!e.reservation())
         return t;
     e.setReservation(false);
-    return _node.policy().onReplyCompleted(*this, t);
+    if (_node.cfg().protocol == ProtocolKind::Nack)
+        panic("home %u: reservation scan under nack", _node.id());
+    // Serve parked requests head-first until one's block is still
+    // pending (re-arm the reservation on it and stop) or the queue
+    // drains.
+    while (!_reqQueue.empty()) {
+        DirectoryEntry &head = entryFor(_reqQueue.front().addr);
+        if (isPending(head.state())) {
+            head.setReservation(true);
+            return t;
+        }
+        QueuedReq req = _reqQueue.pop();
+        t += timing::memoryQueueAccess;
+        t = handleRequestAs(req.type, req.addr, req.master, req.mshr,
+                            t + timing::directoryAccess);
+    }
+    return t;
 }
 
 } // namespace cenju

@@ -6,11 +6,11 @@
  * Implements the full appendix state machine over {C,D,Ps,Pe,Pi}
  * memory states, the starvation-free *queuing* protocol (requests
  * that hit a pending block are parked in a main-memory FIFO, gated
- * by the per-entry reservation bit) and, for comparison, the
- * DASH-style *nack* protocol. Invalidations use the network's
- * multicast and gathering functions when more than one slave is
- * targeted; a serial-unicast mode reproduces the paper's
- * no-multicast estimate.
+ * by the per-entry reservation bit), its *phase-priority* variant
+ * (parked in phase-epoch order) and, for comparison, the DASH-style
+ * *nack* protocol. Invalidations use the network's multicast and
+ * gathering functions when more than one slave is targeted; a
+ * serial-unicast mode reproduces the paper's no-multicast estimate.
  */
 
 #ifndef CENJU_PROTOCOL_HOME_HH
@@ -21,7 +21,6 @@
 
 #include "directory/directory.hh"
 #include "memory/msg_queue.hh"
-#include "policy/policy.hh"
 #include "protocol/coh_msg.hh"
 #include "sim/hashing.hh"
 #include "sim/ring.hh"
@@ -40,7 +39,7 @@ struct QueuedReq
     Addr addr;
     NodeId master;
     std::uint8_t mshr;
-    std::uint32_t epoch; ///< phase epoch at issue (src/policy/)
+    std::uint32_t epoch; ///< phase epoch at issue (phase-priority)
 };
 
 /** Home-side statistics, reset by DsmNode. */
@@ -57,13 +56,8 @@ struct HomeStats
     SampleStat queueWaitDepth;
 };
 
-/**
- * Directory-side protocol engine of one node. Implements the
- * HomeCtx mechanism interface so the node's CoherencePolicy
- * (src/policy/, docs/ARCHITECTURE.md "Protocol policies") can steer
- * the conflict discipline without seeing protocol message types.
- */
-class HomeModule : public HomeCtx, public HomeStats
+/** Directory-side protocol engine of one node. */
+class HomeModule : public HomeStats
 {
   public:
     explicit HomeModule(DsmNode &node);
@@ -162,24 +156,18 @@ class HomeModule : public HomeCtx, public HomeStats
     Tick handleAtomic(const CohPacket &pkt, Tick t);
 
     /**
+     * A request hit a pending block: nack it, or park it in the
+     * memory queue (at the tail under queuing, in epoch order under
+     * phase-priority) with the reservation bit on the head's block.
+     */
+    Tick park(const QueuedReq &req, Tick t);
+
+    /**
      * Reservation check after a reply (section 3.3): when the
-     * completing block's entry carried the reservation bit, hand
-     * control to the policy's queue scan.
+     * completing block's entry carried the reservation bit, serve
+     * parked requests head-first.
      */
     Tick afterReply(Addr addr, Tick t);
-
-    // --- HomeCtx (mechanism the policy backends steer) ------------
-
-    std::size_t parkedCount() override;
-    std::uint32_t parkedEpochAt(std::size_t i) override;
-    Addr parkedAddrAt(std::size_t i) override;
-    Tick parkConflictAt(std::size_t pos, Tick t) override;
-    Tick sendNack(Tick t) override;
-    void setBlockReservation(Addr addr, bool on) override;
-    bool headBlockPending() override;
-    Addr headAddr() override;
-    Tick serveHead(Tick t) override;
-    bool reservationBugActive() override;
 
     /**
      * Launch the invalidation round for @p addr at busy-offset
@@ -196,10 +184,6 @@ class HomeModule : public HomeCtx, public HomeStats
     DsmNode &_node;
     Directory _dir;
     MsgQueue<QueuedReq> _reqQueue;
-
-    /** The conflicting request staged for the policy backend
-     * between handleRequest() and parkConflictAt()/sendNack(). */
-    QueuedReq _conflict{};
     std::unordered_map<Addr, PendingOp, U64MixHash> _pending;
     Ring<std::unique_ptr<CohPacket>> _input;
     Ring<WaitingMulticast> _gatherWait;

@@ -420,9 +420,9 @@ MasterModule::sendRequest(unsigned slot)
     auto pkt = makeCohPacket(m.reqType, _node.id(), home,
                              m.blockAddr, _node.id(),
                              static_cast<std::uint8_t>(slot));
-    // Stamp the issuing phase epoch (src/policy/): the
-    // phase-priority backend orders same-block conflicts by it.
-    pkt->reqEpoch = _node.policy().epoch();
+    // Stamp the issuing phase epoch: a phase-priority home orders
+    // same-block conflicts by it.
+    pkt->reqEpoch = _epoch;
     // The request leaves after the miss-detection overhead.
     _node.eq().scheduleAfter(
         timing::masterOverhead,
@@ -514,20 +514,17 @@ MasterModule::handleGrant(const CohPacket &pkt)
             return;
         }
       case CohMsgType::Nack:
-        _node.policy().onNack(*this, slot);
+        if (_node.cfg().protocol != ProtocolKind::Nack)
+            panic("node %u: nack for MSHR %u under %s", _node.id(),
+                  slot, nameOf(_node.cfg().protocol));
+        ++nackRetries;
+        _node.eq().scheduleAfter(timing::nackRetryDelay,
+                                 [this, slot] { sendRequest(slot); });
         return;
       default:
         panic("node %u: unexpected grant type %s", _node.id(),
               nameOf(pkt.type));
     }
-}
-
-void
-MasterModule::scheduleNackRetry(unsigned slot)
-{
-    ++nackRetries;
-    _node.eq().scheduleAfter(timing::nackRetryDelay,
-                             [this, slot] { sendRequest(slot); });
 }
 
 void

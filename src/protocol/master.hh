@@ -20,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "policy/policy.hh"
 #include "protocol/cache.hh"
 #include "protocol/coh_msg.hh"
 #include "sim/ring.hh"
@@ -61,12 +60,8 @@ struct MasterStats
     SampleStat storeMissLatency;
 };
 
-/**
- * Processor-side protocol engine of one node. Implements the
- * MasterCtx mechanism interface so the node's CoherencePolicy can
- * steer the nack-retry discipline (src/policy/).
- */
-class MasterModule : public MasterCtx, public MasterStats
+/** Processor-side protocol engine of one node. */
+class MasterModule : public MasterStats
 {
   public:
     /**
@@ -125,6 +120,15 @@ class MasterModule : public MasterCtx, public MasterStats
     /** Block addresses of busy MSHRs (stall diagnostics). */
     std::vector<Addr> outstandingBlocks() const;
 
+    /**
+     * Phase epoch stamped on this node's outgoing requests; only
+     * phase-priority homes order conflicts by it.
+     */
+    std::uint32_t epoch() const { return _epoch; }
+
+    /** Enter the next phase (Env::barrier completion). */
+    void advanceEpoch() { ++_epoch; }
+
   private:
     struct Mshr
     {
@@ -176,10 +180,6 @@ class MasterModule : public MasterCtx, public MasterStats
     void sendRequest(unsigned slot);
     void complete(unsigned slot, std::uint64_t load_value);
 
-    // --- MasterCtx (mechanism the policy backends steer) ----------
-
-    void scheduleNackRetry(unsigned slot) override;
-
     /**
      * Install @p data into the cache for @p mshr's block in @p state;
      * evicts (and writes back) a victim if needed.
@@ -214,6 +214,7 @@ class MasterModule : public MasterCtx, public MasterStats
     Ring<PendingAtomic> _atomics;
     bool _atomicBusy = false;
     std::uint32_t _atomicCookie = 0; ///< reply-matching sequence
+    std::uint32_t _epoch = 0;
 };
 
 } // namespace cenju

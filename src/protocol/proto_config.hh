@@ -9,12 +9,40 @@
 #include <array>
 
 #include "directory/node_map.hh"
-#include "policy/kind.hh"
 #include "sim/text.hh"
 #include "sim/types.hh"
 
 namespace cenju
 {
+
+/**
+ * Coherence-protocol flavour (Figure 6 comparison, docs/ARCHITECTURE.md
+ * "Coherence disciplines"): the three differ only in what the home
+ * does with a request that hits a pending block.
+ */
+enum class ProtocolKind : std::uint8_t
+{
+    Queuing,       ///< Cenju-4: park conflicting requests in memory
+    Nack,          ///< DASH-style: negative-acknowledge and retry
+    PhasePriority, ///< park in phase order: requests carry a phase
+                   ///< epoch and the home serves same-block
+                   ///< conflicts lowest-epoch-first (arxiv
+                   ///< 1305.3038-style arbitration)
+};
+
+/** Protocol names, in enumerator order (sim/text.hh). */
+constexpr auto
+enumNames(ProtocolKind)
+{
+    return std::array{"queuing", "nack", "phase-priority"};
+}
+
+/** nameOf() under its older name (perfbench/dsm_bench.cc). */
+inline const char *
+protocolKindName(ProtocolKind k)
+{
+    return nameOf(k);
+}
 
 /**
  * Deliberate protocol bugs, injectable so the checking subsystem
@@ -47,10 +75,8 @@ enumNames(ProtoBug)
 struct ProtocolConfig
 {
     /**
-     * Protocol flavour (Figure 6 comparison): the coherence-policy
-     * backend (src/policy/, docs/ARCHITECTURE.md "Protocol
-     * policies"), overridable per process with
-     * CENJU_PROTOCOL=<name>.
+     * Protocol flavour (Figure 6 comparison), overridable per
+     * process with CENJU_PROTOCOL=<name>.
      */
     ProtocolKind protocol =
         envOr("CENJU_PROTOCOL", ProtocolKind::Queuing);

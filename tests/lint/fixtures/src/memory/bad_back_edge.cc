@@ -1,5 +1,5 @@
-// Fixture: the policy layer may include sim/ only — reaching back
-// into the engines (L001) would invert the protocol-policy seam.
+// Fixture: the memory leaf may include sim/ only — reaching back
+// into the engines that use its queues is a layering cycle (L001).
 // Line numbers are asserted by test_lint.cc.
 #include "protocol/home.hh"
 #include "node/dsm_node.hh"
@@ -7,5 +7,5 @@
 
 namespace cenju
 {
-void policyFixture() {}
+void memoryFixture() {}
 } // namespace cenju

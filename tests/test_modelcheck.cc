@@ -117,6 +117,27 @@ TEST(Explorer, ShippedProtocolCleanThreeNode)
                       res.counterexamples[0].trace));
 }
 
+TEST(Explorer, ConcurrencyThreeRacesThreeNodes)
+{
+    // A racing triple can park two requests behind one pending
+    // block, which no pair can: concurrency 3 must add transitions
+    // to the closed 3x1 space, and the space must stay clean.
+    check::ExplorerOptions opt;
+    opt.cfg.nodes = 3;
+    opt.cfg.blocks = 1;
+    opt.cfg.protocol = ProtocolKind::Queuing;
+    check::ExploreResult pairs = check::explore(opt);
+    opt.concurrency = 3;
+    check::ExploreResult triples = check::explore(opt);
+    EXPECT_GT(triples.transitions, pairs.transitions);
+    EXPECT_TRUE(triples.exhausted);
+    EXPECT_TRUE(triples.ok())
+        << (triples.counterexamples.empty()
+                ? std::string()
+                : check::serializeTrace(
+                      triples.counterexamples[0].trace));
+}
+
 TEST(Explorer, NackProtocolClean)
 {
     check::ExplorerOptions opt;

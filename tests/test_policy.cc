@@ -1,13 +1,15 @@
 /**
  * @file
- * Coherence-policy conformance suite: the contract every protocol
- * backend must honor (src/policy/policy.hh), run across the full
- * policy x transport matrix — queuing, nack, and phase-priority on
- * the multistage fabric, the ideal pipe, and the direct transport.
+ * Coherence-discipline conformance suite: the contract every
+ * protocol flavour must honor (ProtocolKind, HomeModule::park), run
+ * across the full protocol x transport matrix — queuing, nack, and
+ * phase-priority on the multistage fabric, the ideal pipe, and the
+ * direct transport.
  *
- * The backends are free to differ in *how* they arbitrate a
+ * The flavours are free to differ in *how* they arbitrate a
  * conflicted home (that contrast is bench/fig6_starvation's and
- * bench/ablation_protocol's subject); what must not differ is the
+ * bench/ablation_protocol's subject; the phase-skew ordering test
+ * pins what phase-priority changes); what must not differ is the
  * protocol semantics the rest of the stack depends on: every
  * request completes (no starvation, no lost retries), racing stores
  * serialize to one coherence order, quiesced directories hold no
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <functional>
@@ -41,7 +44,7 @@ namespace cenju
 namespace
 {
 
-/** A small system over any policy x transport pair. */
+/** A small system over any protocol x transport pair. */
 struct PolicySys
 {
     PolicySys(ProtocolKind p, TransportKind t, unsigned nodes,
@@ -162,7 +165,7 @@ class PolicyConformance
     : public ::testing::TestWithParam<PolicyParam>
 {
   protected:
-    ProtocolKind policy() const { return std::get<0>(GetParam()); }
+    ProtocolKind protocol() const { return std::get<0>(GetParam()); }
     TransportKind transport() const
     {
         return std::get<1>(GetParam());
@@ -171,20 +174,21 @@ class PolicyConformance
 
 TEST_P(PolicyConformance, ReportsItsKindAndNameRoundTrips)
 {
-    // The table itself is checked in test_text.cc; here each node's
-    // policy must report a name that parses back to its kind.
-    PolicySys s(policy(), transport(), 4);
+    // The table itself is checked in test_text.cc; here each node
+    // must run the selected protocol, under a name that parses back
+    // to its kind.
+    PolicySys s(protocol(), transport(), 4);
     for (auto &n : s.nodes) {
-        EXPECT_EQ(n->policy().kind(), policy());
+        EXPECT_EQ(n->cfg().protocol, protocol());
         ProtocolKind back{};
-        ASSERT_TRUE(parseName(n->policy().name(), back));
-        EXPECT_EQ(back, policy());
+        ASSERT_TRUE(parseName(nameOf(n->cfg().protocol), back));
+        EXPECT_EQ(back, protocol());
     }
 }
 
 TEST_P(PolicyConformance, SingleWriterPropagatesToAllReaders)
 {
-    PolicySys s(policy(), transport(), 4);
+    PolicySys s(protocol(), transport(), 4);
     Addr a = addr_map::makeShared(1, 0x100);
     s.store(0, a, 42);
     for (NodeId n = 0; n < 4; ++n)
@@ -194,7 +198,7 @@ TEST_P(PolicyConformance, SingleWriterPropagatesToAllReaders)
 
 TEST_P(PolicyConformance, RacingStoresAllCompleteAndSerialize)
 {
-    PolicySys s(policy(), transport(), 8);
+    PolicySys s(protocol(), transport(), 8);
     Addr a = addr_map::makeShared(0, 0x700);
     unsigned done = 0;
     for (NodeId n = 0; n < 8; ++n)
@@ -213,7 +217,7 @@ TEST_P(PolicyConformance, RacingStoresAllCompleteAndSerialize)
 
 TEST_P(PolicyConformance, MixedRacesAcrossTwoHomesComplete)
 {
-    PolicySys s(policy(), transport(), 8);
+    PolicySys s(protocol(), transport(), 8);
     Addr a = addr_map::makeShared(0, 0x40);
     Addr b = addr_map::makeShared(1, 0x80);
     unsigned done = 0;
@@ -235,7 +239,7 @@ TEST_P(PolicyConformance, SustainedContentionIsStarvationFree)
     // terminate with every operation complete regardless of how the
     // backend arbitrates (queuing parks, nack retries, phase
     // priority sorts).
-    PolicySys s(policy(), transport(), 8);
+    PolicySys s(protocol(), transport(), 8);
     Addr a = addr_map::makeShared(0, 0);
     unsigned completed = 0;
     constexpr unsigned rounds = 4;
@@ -258,7 +262,7 @@ TEST_P(PolicyConformance, SustainedContentionIsStarvationFree)
 
 TEST_P(PolicyConformance, BackendCountersMatchItsDiscipline)
 {
-    PolicySys s(policy(), transport(), 8);
+    PolicySys s(protocol(), transport(), 8);
     Addr a = addr_map::makeShared(0, 0x700);
     unsigned done = 0;
     for (NodeId n = 0; n < 8; ++n)
@@ -271,7 +275,7 @@ TEST_P(PolicyConformance, BackendCountersMatchItsDiscipline)
     std::uint64_t retries = 0;
     for (auto &node : s.nodes)
         retries += node->master().nackRetries.value();
-    switch (policy()) {
+    switch (protocol()) {
       case ProtocolKind::Queuing:
       case ProtocolKind::PhasePriority:
         EXPECT_EQ(nacks, 0u);
@@ -288,15 +292,15 @@ TEST_P(PolicyConformance, BackendCountersMatchItsDiscipline)
 
 TEST_P(PolicyConformance, EpochAdvancesPerNodeIndependently)
 {
-    PolicySys s(policy(), transport(), 4);
+    PolicySys s(protocol(), transport(), 4);
     for (auto &n : s.nodes)
-        EXPECT_EQ(n->policy().epoch(), 0u);
-    s.nodes[2]->policy().advanceEpoch();
-    s.nodes[2]->policy().advanceEpoch();
-    s.nodes[3]->policy().advanceEpoch();
-    EXPECT_EQ(s.nodes[0]->policy().epoch(), 0u);
-    EXPECT_EQ(s.nodes[2]->policy().epoch(), 2u);
-    EXPECT_EQ(s.nodes[3]->policy().epoch(), 1u);
+        EXPECT_EQ(n->master().epoch(), 0u);
+    s.nodes[2]->master().advanceEpoch();
+    s.nodes[2]->master().advanceEpoch();
+    s.nodes[3]->master().advanceEpoch();
+    EXPECT_EQ(s.nodes[0]->master().epoch(), 0u);
+    EXPECT_EQ(s.nodes[2]->master().epoch(), 2u);
+    EXPECT_EQ(s.nodes[3]->master().epoch(), 1u);
 }
 
 TEST_P(PolicyConformance, MixedEpochContentionStaysCoherent)
@@ -305,9 +309,9 @@ TEST_P(PolicyConformance, MixedEpochContentionStaysCoherent)
     // the stragglers (epoch 0) overtake parked epoch-1 requests;
     // under queuing/nack the epochs are inert metadata. Either way
     // every request completes and the quiesced state is clean.
-    PolicySys s(policy(), transport(), 8);
+    PolicySys s(protocol(), transport(), 8);
     for (NodeId n = 4; n < 8; ++n)
-        s.nodes[n]->policy().advanceEpoch();
+        s.nodes[n]->master().advanceEpoch();
     Addr a = addr_map::makeShared(0, 0x40);
     Addr b = addr_map::makeShared(0, 0x80);
     unsigned done = 0;
@@ -344,6 +348,58 @@ INSTANTIATE_TEST_SUITE_P(
                "On" +
                camel(nameOf(std::get<1>(info.param)));
     });
+
+// ---------------------------------------------------------------
+// What phase-priority is for: an earlier phase overtakes parked
+// requests of a later one.
+// ---------------------------------------------------------------
+
+/**
+ * Completion order of one store each from nodes 4-7 (one phase
+ * ahead) and then 1-3 to a block homed at node 0. The ideal pipe
+ * delivers requests in issue order, so the later-phase stores reach
+ * the home first and the stragglers arrive at a conflicted block
+ * with later-phase requests already parked.
+ */
+std::vector<NodeId>
+phaseSkewOrder(ProtocolKind p)
+{
+    PolicySys s(p, TransportKind::Ideal, 8);
+    for (NodeId n = 4; n < 8; ++n)
+        s.nodes[n]->master().advanceEpoch();
+    Addr a = addr_map::makeShared(0, 0x40);
+    std::vector<NodeId> order;
+    for (NodeId n : {4u, 5u, 6u, 7u, 1u, 2u, 3u}) {
+        s.nodes[n]->master().store(
+            a, n, [&order, n] { order.push_back(n); });
+    }
+    s.eq.run();
+    s.checkQuiesced();
+    return order;
+}
+
+TEST(PhasePriority, EarlierPhaseOvertakesParkedLaterPhase)
+{
+    std::vector<NodeId> pp =
+        phaseSkewOrder(ProtocolKind::PhasePriority);
+    std::vector<NodeId> fifo = phaseSkewOrder(ProtocolKind::Queuing);
+    ASSERT_EQ(pp.size(), 7u);
+    ASSERT_EQ(fifo.size(), 7u);
+    auto rank = [](const std::vector<NodeId> &order, NodeId n) {
+        return std::find(order.begin(), order.end(), n) -
+               order.begin();
+    };
+    for (NodeId early : {1u, 2u, 3u}) {
+        for (NodeId late : {6u, 7u}) {
+            EXPECT_LT(rank(pp, early), rank(pp, late))
+                << "phase-priority served epoch-1 node " << late
+                << " before epoch-0 node " << early;
+            EXPECT_GT(rank(fifo, early), rank(fifo, late))
+                << "queuing served node " << early
+                << " out of arrival order";
+        }
+    }
+}
 
 // ---------------------------------------------------------------
 // Cross-backend fuzz: one sequential random workload, every
@@ -386,7 +442,7 @@ makeFuzzProgram(std::uint64_t seed, unsigned nodes,
 TEST(PolicyFuzz, SequentialWorkloadIdenticalAcrossBackends)
 {
     // A sequential (each op runs to quiescence) workload has one
-    // admissible outcome: the shadow model. Every policy backend on
+    // admissible outcome: the shadow model. Every protocol on
     // every transport must match it load-for-load, and the final
     // block contents must agree across all nine combinations.
     std::uint64_t seed = 20260809;
@@ -431,7 +487,7 @@ TEST(PolicyFuzz, SequentialWorkloadIdenticalAcrossBackends)
                     s.eq.run();
                     break;
                   case FuzzOp::Epoch:
-                    s.nodes[op.node]->policy().advanceEpoch();
+                    s.nodes[op.node]->master().advanceEpoch();
                     break;
                 }
             }

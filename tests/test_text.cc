@@ -16,7 +16,6 @@
 
 #include "check/trace.hh"
 #include "fault/fault_plan.hh"
-#include "policy/kind.hh"
 #include "protocol/proto_config.hh"
 #include "reliable/kind.hh"
 #include "sim/text.hh"

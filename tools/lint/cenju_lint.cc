@@ -51,7 +51,7 @@ namespace fs = std::filesystem;
 namespace
 {
 
-constexpr const char *kCatalogVersion = "6";
+constexpr const char *kCatalogVersion = "7";
 
 // ---------------------------------------------------------------
 // Rule catalog
@@ -112,10 +112,7 @@ knownRule(const std::string &id)
  * (tools/, bench/, tests/, examples/) may include anything.
  *
  * Edges mirror docs/ARCHITECTURE.md: sim/directory/memory/exec are
- * leaves; policy (the coherence-discipline backends) sits just
- * above sim and is consumed by protocol and node — it must never
- * reach back into the engines, hence its single edge;
- * network and the analytical transports implement the seam;
+ * leaves; network and the analytical transports implement the seam;
  * protocol+node+msgpass form one layer group (mutual edges within
  * it are sanctioned); reliable is a transport decorator (it sits
  * on the backend side of the seam and may only see the transport
@@ -127,7 +124,6 @@ knownRule(const std::string &id)
  */
 const std::map<std::string, std::set<std::string>> kLayerDag = {
     {"sim", {}},
-    {"policy", {"sim"}},
     {"shard", {"sim", "check"}},
     {"directory", {"sim"}},
     {"memory", {"sim"}},
@@ -136,10 +132,8 @@ const std::map<std::string, std::set<std::string>> kLayerDag = {
     {"transport", {"sim", "directory", "check", "fault",
                    "shard"}},
     {"reliable", {"sim", "transport", "check", "fault"}},
-    {"protocol", {"sim", "directory", "memory", "transport",
-                  "node", "policy"}},
-    {"node", {"sim", "memory", "check", "transport", "protocol",
-              "shard", "policy"}},
+    {"protocol", {"sim", "directory", "memory", "transport", "node"}},
+    {"node", {"sim", "memory", "check", "transport", "protocol", "shard"}},
     {"msgpass", {"sim", "transport", "node", "shard"}},
     {"check", {"sim", "memory", "directory", "network", "transport",
                "node", "protocol"}},
@@ -161,14 +155,14 @@ const std::set<std::string> kSeamFiles = {
 /** Modules whose hot paths must not allocate (docs/PERF.md). */
 const std::set<std::string> kPoolGoverned = {
     "sim", "shard", "network", "transport", "protocol", "node",
-    "msgpass", "memory", "directory", "policy", "reliable", "core",
+    "msgpass", "memory", "directory", "reliable", "core",
 };
 
 /** Modules whose behavior feeds the golden digests. */
 const std::set<std::string> kDigestAffecting = {
     "sim", "shard", "network", "transport", "protocol", "node",
     "msgpass", "memory", "directory", "core", "check", "fault",
-    "workload", "policy", "reliable",
+    "workload", "reliable",
 };
 
 // ---------------------------------------------------------------

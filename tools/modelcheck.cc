@@ -41,7 +41,8 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "  --nodes N         system size, 2..4 (default 2)\n"
         "  --blocks N        shared blocks, 1..2 (default 1)\n"
-        "  --concurrency N   max racing ops per step (default 2)\n"
+        "  --concurrency N   max racing ops per step, 1..nodes "
+        "(default 2)\n"
         "  --depth N         max steps per trace, 0=closure "
         "(default 0)\n"
         "  --max-states N    stop after N states, 0=unlimited\n"
@@ -156,6 +157,13 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "exhaustive exploration is meant for 2..4 "
                      "nodes and 1..2 blocks\n");
+        return 2;
+    }
+    if (opt.concurrency < 1 || opt.concurrency > opt.cfg.nodes) {
+        std::fprintf(stderr,
+                     "--concurrency %u: racing ops come from distinct "
+                     "nodes, so it must be 1..%u\n",
+                     opt.concurrency, opt.cfg.nodes);
         return 2;
     }
 
