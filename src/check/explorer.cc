@@ -10,6 +10,7 @@
 
 #include "network/network.hh"
 #include "node/dsm_node.hh"
+#include "sim/logging.hh"
 
 namespace cenju::check
 {
@@ -388,6 +389,11 @@ replayTrace(const Trace &t, std::uint64_t event_budget)
 ExploreResult
 explore(const ExplorerOptions &opt, std::ostream *progress)
 {
+    if (opt.concurrency < 1 || opt.concurrency > opt.cfg.nodes) {
+        fatal("ExplorerOptions::concurrency %u: racing ops come from "
+              "distinct nodes, so it must be 1..%u",
+              opt.concurrency, opt.cfg.nodes);
+    }
     ExploreResult res;
     const auto batches = transitionBatches(opt);
 

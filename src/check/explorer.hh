@@ -47,7 +47,9 @@ struct ExplorerOptions
 {
     CheckConfig cfg;
 
-    /** Max operations issued per batch (1 = no races). */
+    /** Max operations issued per batch (1 = no races). Racing ops
+     * come from distinct nodes, so explore() is fatal outside
+     * 1..cfg.nodes. */
     unsigned concurrency = 2;
 
     /**

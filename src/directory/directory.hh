@@ -4,20 +4,22 @@
  * every shared block homed at a node.
  *
  * Hardware keeps one 64-bit entry per 128-byte block in a dedicated
- * 1/16 slice of main memory; the simulator creates entries lazily on
- * first touch (untouched blocks are Clean with an empty map, which
- * is exactly the initial entry).
+ * 1/16 slice of main memory and finds it by block number; the
+ * simulator indexes its entries the same way (sim/block_table.hh).
+ * A slot is untouched until entry() gives it a node map; untouched
+ * blocks are Clean with an empty map, which is exactly the initial
+ * entry.
  */
 
 #ifndef CENJU_DIRECTORY_DIRECTORY_HH
 #define CENJU_DIRECTORY_DIRECTORY_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
 #include "directory/entry.hh"
 #include "directory/node_map.hh"
-#include "sim/hashing.hh"
+#include "sim/block_table.hh"
 
 namespace cenju
 {
@@ -32,49 +34,46 @@ class Directory
      */
     Directory(NodeMapKind kind, unsigned num_nodes)
         : _kind(kind), _numNodes(num_nodes)
-    {
-        // Modest: per-node object, so eager buckets cost RAM and
-        // construction time at 1024 nodes. Grows on demand.
-        _entries.reserve(64);
-    }
+    {}
 
     /** Entry for local block number @p block, created on demand. */
     DirectoryEntry &
     entry(std::uint64_t block)
     {
-        auto it = _entries.find(block);
-        if (it == _entries.end()) {
-            it = _entries
-                     .emplace(block,
-                              DirectoryEntry(
-                                  makeNodeMap(_kind, _numNodes)))
-                     .first;
-        }
-        return it->second;
+        DirectoryEntry &e = _entries.at(block);
+        if (!e.touched())
+            e = DirectoryEntry(makeNodeMap(_kind, _numNodes));
+        return e;
     }
 
-    /** Entry if it exists, else nullptr (read-only probing). */
+    /** Entry if it was touched, else nullptr (read-only probing). */
     const DirectoryEntry *
     find(std::uint64_t block) const
     {
-        auto it = _entries.find(block);
-        return it == _entries.end() ? nullptr : &it->second;
+        const DirectoryEntry *e = _entries.find(block);
+        return e && e->touched() ? e : nullptr;
     }
 
-    /** Number of touched entries. */
-    std::size_t touchedEntries() const { return _entries.size(); }
-
-    /** Visit every touched entry as f(localBlock, entry) (checker
-     * sweeps; iteration order is unspecified). */
+    /** Visit every touched entry as f(localBlock, entry), in
+     * ascending block order (checker sweeps). */
     template <typename F>
     void
     forEachEntry(F f) const
     {
-        // cenju-lint: allow(D003): consumers are the invariant
-        // sweeps in src/check, which assert a property of every
-        // entry; no digest or trace derives from visit order.
-        for (const auto &[block, entry] : _entries)
-            f(block, entry);
+        _entries.forEach(
+            [&f](std::uint64_t block, const DirectoryEntry &e) {
+                if (e.touched())
+                    f(block, e);
+            });
+    }
+
+    /** Number of touched entries. */
+    std::size_t
+    touchedEntries() const
+    {
+        std::size_t n = 0;
+        forEachEntry([&n](std::uint64_t, const DirectoryEntry &) { ++n; });
+        return n;
     }
 
     unsigned numNodes() const { return _numNodes; }
@@ -82,8 +81,7 @@ class Directory
   private:
     NodeMapKind _kind;
     unsigned _numNodes;
-    std::unordered_map<std::uint64_t, DirectoryEntry, U64MixHash>
-        _entries;
+    BlockTable<DirectoryEntry> _entries;
 };
 
 } // namespace cenju

@@ -9,7 +9,9 @@
  * the whole entry into 64 bits so the directory occupies 1/16 of
  * main memory independent of system size; packEntry()/unpackEntry()
  * implement that layout for the Cenju scheme, while the simulator's
- * working representation is this object.
+ * working representation is this object. A default-constructed
+ * entry is an untouched directory slot: it has no node map until
+ * Directory::entry() gives it one.
  */
 
 #ifndef CENJU_DIRECTORY_ENTRY_HH
@@ -59,10 +61,16 @@ enumNames(MemState)
 class DirectoryEntry
 {
   public:
+    /** Untouched slot: no node map yet. */
+    DirectoryEntry() = default;
+
     /** Entry for a freshly allocated block: clean, no sharers. */
     explicit DirectoryEntry(std::unique_ptr<NodeMap> map)
         : _map(std::move(map))
     {}
+
+    /** True once the entry has a node map (Directory::entry()). */
+    bool touched() const { return _map != nullptr; }
 
     MemState state() const { return _state; }
     void setState(MemState s) { _state = s; }

@@ -1,12 +1,12 @@
 /**
  * @file
- * Per-node main memory: a sparse functional backing store of
- * 128-byte blocks, addressed by local offset.
+ * Per-node main memory: a functional backing store of 128-byte
+ * blocks, indexed by local block number (sim/block_table.hh).
  *
  * The simulator keeps real data so that coherence can be checked
  * end to end (a load observes the value of the last graduated store
  * in coherence order). Blocks read before any write are zero, like
- * freshly allocated pages.
+ * freshly allocated pages; a read never builds a page.
  */
 
 #ifndef CENJU_MEMORY_MAIN_MEMORY_HH
@@ -14,10 +14,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 
 #include "memory/address_map.hh"
-#include "sim/hashing.hh"
+#include "sim/block_table.hh"
 #include "sim/types.hh"
 
 namespace cenju
@@ -35,47 +34,43 @@ struct Block
     }
 };
 
-/** Sparse functional memory of one node. */
+/** Functional memory of one node. */
 class MainMemory
 {
   public:
-    MainMemory() { _blocks.reserve(64); }
-
     /** Block at local block number @p block (zero if untouched). */
     Block
     readBlock(std::uint64_t block) const
     {
-        auto it = _blocks.find(block);
-        return it == _blocks.end() ? Block{} : it->second;
+        const Block *b = _blocks.find(block);
+        return b ? *b : Block{};
     }
 
     /** Replace the block at local block number @p block. */
     void
     writeBlock(std::uint64_t block, const Block &data)
     {
-        _blocks[block] = data;
+        _blocks.at(block) = data;
     }
 
     /** 64-bit word at byte offset @p offset (8-byte aligned). */
     std::uint64_t
     readWord(Addr offset) const
     {
-        auto it = _blocks.find(offset >> blockShift);
-        if (it == _blocks.end())
-            return 0;
-        return it->second.w[(offset & (blockBytes - 1)) / 8];
+        const Block *b = _blocks.find(offset >> blockShift);
+        return b ? b->w[(offset & (blockBytes - 1)) / 8] : 0;
     }
 
     /** Store a 64-bit word at byte offset @p offset. */
     void
     writeWord(Addr offset, std::uint64_t value)
     {
-        _blocks[offset >> blockShift]
+        _blocks.at(offset >> blockShift)
             .w[(offset & (blockBytes - 1)) / 8] = value;
     }
 
   private:
-    std::unordered_map<std::uint64_t, Block, U64MixHash> _blocks;
+    BlockTable<Block> _blocks;
 };
 
 } // namespace cenju

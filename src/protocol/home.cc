@@ -1,7 +1,5 @@
 #include "protocol/home.hh"
 
-#include <algorithm>
-
 #include "directory/cenju_node_map.hh"
 #include "node/dsm_node.hh"
 #include "sim/timing.hh"
@@ -15,13 +13,7 @@ HomeModule::HomeModule(DsmNode &node)
       _reqQueue("home.reqQueue",
                 static_cast<std::size_t>(node.numNodes()) *
                     maxOutstanding)
-{
-    // Enough for the typical outstanding-op population; capped so
-    // 1024-node systems don't pay megabytes of empty buckets.
-    _pending.reserve(std::min<std::size_t>(
-        static_cast<std::size_t>(node.numNodes()) * maxOutstanding,
-        512));
-}
+{}
 
 DirectoryEntry &
 HomeModule::entryFor(Addr addr)

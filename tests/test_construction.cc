@@ -8,8 +8,10 @@
  * versions over malloc/free, so the sanitizer builds see matching
  * pairs. The bounds sit between the cost of eagerly built state
  * (empty std::deque queues and gather tables filled at construction:
- * ~23 KB per switch, ~18 KB per ideal-backend node) and the cost of
- * state built on first use (~1.2 KB per switch, ~9 KB per node).
+ * ~23 KB per switch, ~18 KB per ideal-backend node; reserved hash
+ * buckets for memory, directory and pending ops: ~6 KB per node)
+ * and the cost of state built on first use (~1.2 KB per switch,
+ * ~3 KB per node).
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +22,12 @@
 #include <new>
 
 #include "core/dsm_system.hh"
+#include "directory/directory.hh"
+#include "memory/main_memory.hh"
 #include "memory/msg_queue.hh"
 #include "network/gather_table.hh"
 #include "network/network.hh"
+#include "sim/block_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/ring.hh"
 
@@ -293,6 +298,46 @@ TEST(Construction, EventQueueSteadyStateAllocatesNothing)
     EXPECT_EQ(ran, 104u * 27);
 }
 
+TEST(Construction, WarmBlockTablesReadAndWriteWithoutAllocating)
+{
+    // Once a page is built, memory and directory accesses to its
+    // blocks are plain loads and stores.
+    constexpr std::uint64_t blocks = 64;
+    MainMemory mem;
+    Directory dir(NodeMapKind::CenjuPointerBitPattern, 64);
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        mem.writeBlock(b, Block{});
+        dir.entry(b);
+    }
+    std::uint64_t sum = 0;
+    EXPECT_EQ(bytesAllocatedBy([&] {
+                  for (std::uint64_t pass = 1; pass <= 4; ++pass) {
+                      for (std::uint64_t b = 0; b < blocks; ++b) {
+                          Block x = mem.readBlock(b);
+                          x.w[0] += pass;
+                          mem.writeBlock(b, x);
+                          mem.writeWord(b * blockBytes + 8, pass);
+                          sum += mem.readWord(b * blockBytes + 8);
+                          dir.entry(b).setState(MemState::Dirty);
+                          sum += dir.find(b) != nullptr;
+                      }
+                  }
+              }),
+              0u);
+    EXPECT_EQ(sum, blocks * (1 + 2 + 3 + 4 + 4));
+    EXPECT_EQ(mem.readBlock(blocks - 1).w[0], 1u + 2 + 3 + 4);
+
+    // The page-pointer vector is the one cost that grows with the
+    // block number: 8 bytes per page up to the top block of the
+    // 29-bit offset space (about 4 MB), plus the page itself.
+    constexpr std::uint64_t topBlock =
+        (std::uint64_t(1) << (sharedOffsetBits - blockShift)) - 1;
+    constexpr std::size_t pageSlots = BlockTable<Block>::pageSlots;
+    EXPECT_LE(bytesAllocatedBy([&] { mem.writeBlock(topBlock, Block{}); }),
+              (topBlock / pageSlots + 1) * sizeof(void *) +
+                  pageSlots * sizeof(Block));
+}
+
 TEST(Construction, FabricAt1024NodesStaysUnderPerSwitchBound)
 {
     constexpr double boundBytesPerSwitch = 4096;
@@ -311,7 +356,7 @@ TEST(Construction, FabricAt1024NodesStaysUnderPerSwitchBound)
 
 TEST(Construction, IdealSystemAt1024NodesStaysUnderPerNodeBound)
 {
-    constexpr double boundBytesPerNode = 12 * 1024;
+    constexpr double boundBytesPerNode = 4 * 1024;
     SystemConfig sc;
     sc.numNodes = 1024;
     sc.transport = TransportKind::Ideal;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "directory/bit_pattern.hh"
 #include "directory/cenju_node_map.hh"
@@ -447,6 +448,31 @@ TEST(DirectoryEntry, InitialStateIsCleanEmpty)
     EXPECT_EQ(dir.touchedEntries(), 1u);
     EXPECT_EQ(dir.find(42), &e);
     EXPECT_EQ(dir.find(43), nullptr);
+}
+
+TEST(Directory, UntouchedSlotsOfBuiltPagesStayInvisible)
+{
+    // Blocks 16 and 17 share a page, 3 and 9 have their own; the
+    // other slots of those pages are built but never entered.
+    Directory dir(NodeMapKind::CenjuPointerBitPattern, 64);
+    for (std::uint64_t blk : {17u, 3u, 9u, 16u})
+        dir.entry(blk).setState(MemState::Dirty);
+    for (std::uint64_t blk : {0u, 4u, 8u, 18u, 23u, 24u, 100000u})
+        EXPECT_EQ(dir.find(blk), nullptr) << blk;
+    EXPECT_EQ(dir.touchedEntries(), 4u);
+
+    std::vector<std::uint64_t> visited;
+    dir.forEachEntry([&](std::uint64_t blk, const DirectoryEntry &e) {
+        visited.push_back(blk);
+        EXPECT_EQ(e.state(), MemState::Dirty);
+    });
+    EXPECT_EQ(visited, (std::vector<std::uint64_t>{3, 9, 16, 17}));
+
+    // The home holds an entry's reference across further lookups.
+    DirectoryEntry &e = dir.entry(5);
+    dir.entry(1u << 20);
+    EXPECT_EQ(dir.find(5), &e);
+    EXPECT_EQ(dir.touchedEntries(), 6u);
 }
 
 TEST(DirectoryEntry, PendingPredicate)

@@ -138,6 +138,19 @@ TEST(Explorer, ConcurrencyThreeRacesThreeNodes)
                       triples.counterexamples[0].trace));
 }
 
+TEST(Explorer, ConcurrencyOutsideOneToNodesIsFatal)
+{
+    check::ExplorerOptions opt;
+    opt.cfg.nodes = 3;
+    opt.cfg.blocks = 1;
+    for (unsigned c : {0u, 4u}) {
+        opt.concurrency = c;
+        EXPECT_EXIT(check::explore(opt), ::testing::ExitedWithCode(1),
+                    "ExplorerOptions::concurrency .*1\\.\\.3")
+            << "concurrency " << c;
+    }
+}
+
 TEST(Explorer, NackProtocolClean)
 {
     check::ExplorerOptions opt;
