@@ -165,6 +165,20 @@ RuntimeChecker::checkHomeQueues(NodeId h)
         }
     }
 
+    // Phase-priority serves lower epochs first: parked requests
+    // stay sorted by epoch.
+    if (_nodes[h]->cfg().protocol == ProtocolKind::PhasePriority) {
+        for (std::size_t i = 1; i < queue.size(); ++i) {
+            if (queue[i].epoch >= queue[i - 1].epoch)
+                continue;
+            std::ostringstream os;
+            os << "home " << h << " queue slot " << i << " epoch "
+               << queue[i].epoch << " behind epoch "
+               << queue[i - 1].epoch;
+            report("phase-order", os.str());
+        }
+    }
+
     // A reservation bit may only mark the queue head's block.
     Addr head_block =
         queue.empty() ? 0 : blockBase(queue.front().addr);

@@ -24,6 +24,9 @@
  *    these are the inductive argument that every parked request is
  *    eventually rescanned — the checker turns the liveness claim
  *    into a step-local safety predicate.
+ *  - Phase order (phase-priority only): the memory queue is sorted
+ *    by phase epoch, so no parked request waits behind one from a
+ *    later phase.
  *
  * The same predicates back the exhaustive explorer (explorer.hh).
  */

@@ -8,8 +8,8 @@ namespace cenju
 std::uint64_t
 CenjuNodeMap::pack() const
 {
-    if (_bitPatternMode)
-        return (1ull << 58) | _pattern.pack();
+    if (_overflowMode)
+        return (1ull << 58) | _overflow.pack();
 
     std::uint64_t raw = 0;
     raw |= std::uint64_t(_count & 0x7) << 55;
@@ -23,8 +23,8 @@ CenjuNodeMap::unpackMap(std::uint64_t raw)
 {
     CenjuNodeMap m;
     if ((raw >> 58) & 1) {
-        m._bitPatternMode = true;
-        m._pattern = BitPattern::unpack(raw & ((1ull << 42) - 1));
+        m._overflowMode = true;
+        m._overflow = BitPattern::unpack(raw & ((1ull << 42) - 1));
         return m;
     }
     unsigned count = (raw >> 55) & 0x7;

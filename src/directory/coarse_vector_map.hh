@@ -11,11 +11,10 @@
 #ifndef CENJU_DIRECTORY_COARSE_VECTOR_MAP_HH
 #define CENJU_DIRECTORY_COARSE_VECTOR_MAP_HH
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 
 #include "directory/node_map.hh"
-#include "sim/logging.hh"
 
 namespace cenju
 {
@@ -24,20 +23,15 @@ namespace cenju
 class CoarseVectorMap : public NodeMap
 {
   public:
-    /**
-     * @param num_nodes system size the map covers
-     * @param vector_bits number of group bits (paper: 32)
-     */
-    explicit CoarseVectorMap(unsigned num_nodes,
-                             unsigned vector_bits = 32)
-        : _numNodes(num_nodes), _vectorBits(vector_bits)
-    {
-        if (vector_bits == 0 || vector_bits > 64)
-            fatal("coarse vector: %u bits unsupported", vector_bits);
-        _groupSize = (num_nodes + vector_bits - 1) / vector_bits;
-        if (_groupSize == 0)
-            _groupSize = 1;
-    }
+    /** Number of group bits (paper: 32). */
+    static constexpr unsigned vectorBits = 32;
+
+    /** @param num_nodes system size the map covers */
+    explicit CoarseVectorMap(unsigned num_nodes)
+        : _numNodes(num_nodes),
+          _groupSize(std::max(1u, (num_nodes + vectorBits - 1) /
+                                      vectorBits))
+    {}
 
     void clear() override { _bits = 0; }
 
@@ -55,30 +49,11 @@ class CoarseVectorMap : public NodeMap
 
     bool empty() const override { return _bits == 0; }
 
-    bool
-    isOnly(NodeId n, unsigned num_nodes) const override
-    {
-        // A group bit represents every node in the group, so the map
-        // is exactly {n} only when the group has one live node.
-        return contains(n) && representedCount(num_nodes) == 1;
-    }
-
-    NodeSet
-    decode(unsigned num_nodes) const override
-    {
-        NodeSet s(num_nodes);
-        for (NodeId n = 0; n < num_nodes && n < _numNodes; ++n) {
-            if ((_bits >> group(n)) & 1)
-                s.insert(n);
-        }
-        return s;
-    }
-
     unsigned
     representedCount(unsigned num_nodes) const override
     {
         unsigned c = 0;
-        for (unsigned g = 0; g < _vectorBits; ++g) {
+        for (unsigned g = 0; g < vectorBits; ++g) {
             if (!((_bits >> g) & 1))
                 continue;
             // Nodes in group g clipped to [0, min(num_nodes,_numNodes)).
@@ -91,7 +66,7 @@ class CoarseVectorMap : public NodeMap
         return c;
     }
 
-    unsigned storageBits() const override { return _vectorBits; }
+    unsigned storageBits() const override { return vectorBits; }
 
     NodeMapKind kind() const override { return NodeMapKind::CoarseVector; }
 
@@ -102,7 +77,6 @@ class CoarseVectorMap : public NodeMap
     unsigned group(NodeId n) const { return n / _groupSize; }
 
     unsigned _numNodes;
-    unsigned _vectorBits;
     unsigned _groupSize;
     std::uint64_t _bits = 0;
 };

@@ -30,19 +30,6 @@ class FullMap : public NodeMap
 
     bool empty() const override { return _set.empty(); }
 
-    bool
-    isOnly(NodeId n, unsigned) const override
-    {
-        return _set.contains(n) && _set.count() == 1;
-    }
-
-    bool
-    containsOther(NodeId n, unsigned) const override
-    {
-        unsigned c = _set.count();
-        return c > 1 || (c == 1 && !_set.contains(n));
-    }
-
     NodeSet
     decode(unsigned num_nodes) const override
     {

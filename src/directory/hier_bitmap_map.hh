@@ -72,23 +72,6 @@ class HierBitmapMap : public NodeMap
         return true;
     }
 
-    bool
-    isOnly(NodeId n, unsigned num_nodes) const override
-    {
-        return contains(n) && representedCount(num_nodes) == 1;
-    }
-
-    NodeSet
-    decode(unsigned num_nodes) const override
-    {
-        NodeSet s(num_nodes);
-        for (NodeId n = 0; n < num_nodes; ++n) {
-            if (contains(n))
-                s.insert(n);
-        }
-        return s;
-    }
-
     unsigned storageBits() const override { return 4 * numLevels; }
 
     NodeMapKind

@@ -56,7 +56,7 @@ class NodeMap
     virtual void add(NodeId n) = 0;
 
     /** Reset to exactly {n}. */
-    virtual void
+    void
     setOnly(NodeId n)
     {
         clear();
@@ -73,22 +73,33 @@ class NodeMap
      * True if the represented set is exactly {n}: used by the
      * protocol's "only the master is registered" checks.
      */
-    virtual bool isOnly(NodeId n, unsigned num_nodes) const = 0;
+    bool
+    isOnly(NodeId n, unsigned num_nodes) const
+    {
+        return contains(n) && representedCount(num_nodes) == 1;
+    }
 
     /**
      * True if any node other than @p n is represented (within
      * ids < @p num_nodes).
      */
-    virtual bool
+    bool
     containsOther(NodeId n, unsigned num_nodes) const
     {
-        NodeSet s = decode(num_nodes);
-        s.erase(n);
-        return !s.empty();
+        return representedCount(num_nodes) > (contains(n) ? 1u : 0u);
     }
 
-    /** Represented set, restricted to ids < @p num_nodes. */
-    virtual NodeSet decode(unsigned num_nodes) const = 0;
+    /** Represented set: every id < @p num_nodes that contains(). */
+    virtual NodeSet
+    decode(unsigned num_nodes) const
+    {
+        NodeSet s(num_nodes);
+        for (NodeId n = 0; n < num_nodes; ++n) {
+            if (contains(n))
+                s.insert(n);
+        }
+        return s;
+    }
 
     /** Number of nodes represented (ids < @p num_nodes). */
     virtual unsigned

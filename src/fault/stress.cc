@@ -9,6 +9,7 @@
 #include "protocol/cache.hh"
 #include "reliable/reliable_transport.hh"
 #include "shard/sharded_engine.hh"
+#include "sim/hashing.hh"
 #include "sim/rng.hh"
 #include "sim/text.hh"
 #include "transport/net_config.hh"
@@ -84,9 +85,9 @@ class DigestHook : public check::CheckHook
     void
     onStep(check::StepKind kind, NodeId at, Addr addr) override
     {
-        mix(static_cast<std::uint64_t>(kind));
-        mix(at);
-        mix(addr);
+        _h = fnvMix(_h, static_cast<std::uint64_t>(kind));
+        _h = fnvMix(_h, at);
+        _h = fnvMix(_h, addr);
         ++_steps;
         if (_inner)
             _inner->onStep(kind, at, addr);
@@ -96,17 +97,8 @@ class DigestHook : public check::CheckHook
     std::uint64_t steps() const { return _steps; }
 
   private:
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            _h ^= (v >> (8 * i)) & 0xff;
-            _h *= 1099511628211ull;
-        }
-    }
-
     check::CheckHook *_inner;
-    std::uint64_t _h = 14695981039346656037ull;
+    std::uint64_t _h = fnvBasis;
     std::uint64_t _steps = 0;
 };
 
@@ -121,12 +113,6 @@ mixCoherentWords(std::uint64_t &h, DsmSystem &sys,
                  const std::vector<DsmNode *> &nodes,
                  const ShmArray &arr)
 {
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
     for (std::size_t i = 0; i < arr.size(); ++i) {
         Addr a = arr.addrOf(i);
         Addr block_addr = blockBase(a);
@@ -147,7 +133,7 @@ mixCoherentWords(std::uint64_t &h, DsmSystem &sys,
             val = sys.node(home).sharedMem().readBlock(
                 addr_map::localBlock(block_addr));
         }
-        mix(val.w[(a - block_addr) / 8]);
+        h = fnvMix(h, val.w[(a - block_addr) / 8]);
     }
 }
 
@@ -231,7 +217,7 @@ runStressCase(const StressCase &c, std::uint64_t eventBudget,
                 res.stallDiagnosis;
     }
 
-    res.memFingerprint = 14695981039346656037ull;
+    res.memFingerprint = fnvBasis;
     mixCoherentWords(res.memFingerprint, sys, raw, arr);
     if (sync.size() != 0)
         mixCoherentWords(res.memFingerprint, sys, raw, sync);

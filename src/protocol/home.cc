@@ -1,6 +1,5 @@
 #include "protocol/home.hh"
 
-#include "directory/cenju_node_map.hh"
 #include "node/dsm_node.hh"
 #include "sim/timing.hh"
 
@@ -403,17 +402,14 @@ HomeModule::startInvalidation(Addr addr, Tick t)
     }
     _gatherBusy = true;
 
+    // Up to four represented nodes go as pointers, more as a
+    // bit-pattern. Re-encoding a Cenju map's decoded set gives back
+    // that set; another scheme's (ablation A3) may widen, and the
+    // delivered superset all ack.
     DestSpec spec;
-    if (auto *cm = dynamic_cast<const CenjuNodeMap *>(&e.map());
-        cm && cm->pointerMode()) {
-        spec = DestSpec::pointers(decoded.toVector());
-    } else if (cm) {
-        spec = DestSpec::pattern(cm->pattern());
-    } else if (decoded.count() <= 4) {
+    if (decoded.count() <= 4) {
         spec = DestSpec::pointers(decoded.toVector());
     } else {
-        // Generic scheme (ablation A3): re-encode the decoded set
-        // as a bit-pattern; the delivered superset all ack.
         BitPattern p;
         decoded.forEach([&p](NodeId v) { p.add(v); });
         spec = DestSpec::pattern(p);

@@ -123,18 +123,6 @@ ShardedEngine::runWindow()
 }
 
 void
-ShardedEngine::mixDigest(std::uint64_t v)
-{
-    // FNV-1a, byte order and constants matching the sequential
-    // DigestHook (src/fault/stress.cc) — the digests must be
-    // bit-identical or the golden certification is meaningless.
-    for (int i = 0; i < 8; ++i) {
-        _digest ^= (v >> (8 * i)) & 0xff;
-        _digest *= 1099511628211ull;
-    }
-}
-
-void
 ShardedEngine::barrier()
 {
     // (1) Same-shard child adjacency: events whose parent executed
@@ -190,9 +178,9 @@ ShardedEngine::barrier()
         if (r.g <= _orderLimit) {
             const auto &steps = _recorders[k.shard]->steps();
             for (std::uint32_t i = r.stepBegin; i < r.stepEnd; ++i) {
-                mixDigest(steps[i].kind);
-                mixDigest(steps[i].at);
-                mixDigest(steps[i].addr);
+                _digest = fnvMix(_digest, steps[i].kind);
+                _digest = fnvMix(_digest, steps[i].at);
+                _digest = fnvMix(_digest, steps[i].addr);
             }
             _digestSteps += r.stepEnd - r.stepBegin;
             if (r.finish)

@@ -56,6 +56,7 @@
 #include "shard/context.hh"
 #include "shard/router.hh"
 #include "sim/event_queue.hh"
+#include "sim/hashing.hh"
 #include "sim/thread_pool.hh"
 
 namespace cenju::shard
@@ -389,7 +390,6 @@ class ShardedEngine final : public Router
     };
 
     void barrier();
-    void mixDigest(std::uint64_t v);
 
     Lane &lane(unsigned dst, unsigned src)
     {
@@ -414,7 +414,7 @@ class ShardedEngine final : public Router
 
     std::uint64_t _ordered = 0;
     std::uint64_t _orderLimit = ~0ull;
-    std::uint64_t _digest = 14695981039346656037ull;
+    std::uint64_t _digest = fnvBasis;
     std::uint64_t _digestSteps = 0;
     std::uint64_t _finishInLimit = 0;
     std::uint64_t _rootCounter = 0;

@@ -372,7 +372,7 @@ TEST(CenjuNodeMap, PackUnpackBitPatternMode)
 
 TEST(CoarseVector, GroupGranularity)
 {
-    CoarseVectorMap m(1024, 32);
+    CoarseVectorMap m(1024);
     EXPECT_EQ(m.groupSize(), 32u);
     m.add(40); // group 1 = nodes 32..63
     for (NodeId n = 32; n < 64; ++n)
@@ -384,7 +384,7 @@ TEST(CoarseVector, GroupGranularity)
 
 TEST(CoarseVector, ExactWhenGroupsAreSingletons)
 {
-    CoarseVectorMap m(32, 32);
+    CoarseVectorMap m(32);
     m.add(5);
     m.add(31);
     EXPECT_EQ(m.representedCount(32), 2u);
@@ -427,7 +427,7 @@ TEST(FullMap, AlwaysExact)
 
 TEST(PointerCoarseVector, SwitchesToCoarse)
 {
-    PointerCoarseVectorMap m(1024, 32);
+    PointerCoarseVectorMap m(1024);
     for (NodeId n : {1u, 2u, 3u, 4u})
         m.add(n);
     EXPECT_EQ(m.representedCount(1024), 4u);

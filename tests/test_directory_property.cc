@@ -6,10 +6,17 @@
  * over-approximate — an under-approximation would skip an
  * invalidation and break coherence), and the pointer-based schemes
  * must be exact while four pointers suffice (paper section 3.2).
+ * Every query the protocol asks of a map (contains, representedCount,
+ * empty, isOnly, containsOther) must agree with the map's own decode.
+ *
+ * Set CENJU_FUZZ_SEED to reproduce or vary a randomized run; the
+ * default seed is fixed so plain ctest is deterministic.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,6 +35,14 @@ constexpr NodeMapKind allKinds[] = {
     NodeMapKind::FullMap,
     NodeMapKind::PointerCoarseVector,
 };
+
+std::uint64_t
+fuzzSeed()
+{
+    if (const char *s = std::getenv("CENJU_FUZZ_SEED"))
+        return std::strtoull(s, nullptr, 10);
+    return 0; // fixed default
+}
 
 /** True sharer set alongside the scheme under test. */
 struct Reference
@@ -78,6 +93,43 @@ expectSuperset(const NodeMap &map, const Reference &ref,
         << nameOf(map.kind());
 }
 
+/**
+ * Every query the protocol uses agrees with decode(nodes): contains
+ * for every id, representedCount, empty, and isOnly/containsOther
+ * for one true sharer and one random id.
+ */
+void
+expectQueriesMatchDecode(const NodeMap &map, const Reference &ref,
+                         unsigned nodes, Rng &rng)
+{
+    NodeSet decoded = map.decode(nodes);
+    for (NodeId v = 0; v < nodes; ++v) {
+        if (map.contains(v) != decoded.contains(v)) {
+            ADD_FAILURE() << nameOf(map.kind()) << " contains(" << v
+                          << ") disagrees with decode";
+            break;
+        }
+    }
+    EXPECT_EQ(map.representedCount(nodes), decoded.count())
+        << nameOf(map.kind());
+    EXPECT_EQ(map.empty(), decoded.empty()) << nameOf(map.kind());
+
+    std::vector<NodeId> probes{NodeId(rng.below(nodes))};
+    if (!ref.set.empty()) {
+        std::vector<NodeId> sharers = ref.set.toVector();
+        probes.push_back(sharers[rng.below(sharers.size())]);
+    }
+    for (NodeId v : probes) {
+        NodeSet others = decoded;
+        others.erase(v);
+        EXPECT_EQ(map.isOnly(v, nodes),
+                  decoded.contains(v) && others.empty())
+            << nameOf(map.kind()) << " isOnly(" << v << ")";
+        EXPECT_EQ(map.containsOther(v, nodes), !others.empty())
+            << nameOf(map.kind()) << " containsOther(" << v << ")";
+    }
+}
+
 /** Exact schemes decode to precisely the true set. */
 void
 expectExact(const NodeMap &map, const Reference &ref,
@@ -98,8 +150,10 @@ class NodeMapProperty : public ::testing::TestWithParam<unsigned>
 TEST_P(NodeMapProperty, DecodeIsAlwaysASupersetOfTrueSharers)
 {
     unsigned nodes = GetParam();
+    SCOPED_TRACE("CENJU_FUZZ_SEED=" + std::to_string(fuzzSeed()));
     for (NodeMapKind kind : allKinds) {
-        Rng rng(0xd1cebeef + nodes);
+        Rng rng(fuzzSeed() ^ (0xd1cebeef + nodes));
+        Rng probes = rng.split(1);
         for (unsigned seq = 0; seq < 50; ++seq) {
             auto map = makeNodeMap(kind, nodes);
             Reference ref(nodes);
@@ -122,6 +176,7 @@ TEST_P(NodeMapProperty, DecodeIsAlwaysASupersetOfTrueSharers)
                              " seq=" + std::to_string(seq) +
                              " op=" + std::to_string(op));
                 expectSuperset(*map, ref, nodes);
+                expectQueriesMatchDecode(*map, ref, nodes, probes);
             }
         }
     }
@@ -130,11 +185,12 @@ TEST_P(NodeMapProperty, DecodeIsAlwaysASupersetOfTrueSharers)
 TEST_P(NodeMapProperty, PointerSchemesExactUpToFourSharers)
 {
     unsigned nodes = GetParam();
+    SCOPED_TRACE("CENJU_FUZZ_SEED=" + std::to_string(fuzzSeed()));
     for (NodeMapKind kind :
          {NodeMapKind::CenjuPointerBitPattern,
           NodeMapKind::PointerCoarseVector,
           NodeMapKind::FullMap}) {
-        Rng rng(0xfeed1234 + nodes);
+        Rng rng(fuzzSeed() ^ (0xfeed1234 + nodes));
         for (unsigned seq = 0; seq < 50; ++seq) {
             auto map = makeNodeMap(kind, nodes);
             Reference ref(nodes);
@@ -179,9 +235,10 @@ TEST_P(NodeMapProperty, SetOnlyAfterOverflowKeepsTheNode)
     // may only narrow to the owner's group, but must still cover
     // the owner and nothing outside its group.
     unsigned nodes = GetParam();
+    SCOPED_TRACE("CENJU_FUZZ_SEED=" + std::to_string(fuzzSeed()));
     for (NodeMapKind kind : allKinds) {
         auto map = makeNodeMap(kind, nodes);
-        Rng rng(0xabcd + nodes);
+        Rng rng(fuzzSeed() ^ (0xabcd + nodes));
         for (unsigned i = 0; i < 12; ++i)
             map->add(NodeId(rng.below(nodes)));
         auto keep = NodeId(rng.below(nodes));
