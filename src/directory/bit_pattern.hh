@@ -85,8 +85,9 @@ class BitPattern
                    static_cast<unsigned>(std::popcount(_f4));
         }
         unsigned c = 0;
-        for (NodeId n = 0; n < num_nodes; ++n)
-            c += contains(n);
+        forEachWord(num_nodes, [&c](unsigned, std::uint64_t bits) {
+            c += static_cast<unsigned>(std::popcount(bits));
+        });
         return c;
     }
 
@@ -95,10 +96,9 @@ class BitPattern
     decode(unsigned num_nodes) const
     {
         NodeSet s(num_nodes);
-        for (NodeId n = 0; n < num_nodes; ++n) {
-            if (contains(n))
-                s.insert(n);
-        }
+        forEachWord(num_nodes, [&s](unsigned i, std::uint64_t bits) {
+            s.insertWord(i, bits);
+        });
         return s;
     }
 
@@ -140,6 +140,35 @@ class BitPattern
     static unsigned slice4(NodeId n) { return n & 0x1f; }
 
   private:
+    /**
+     * Call @p fn(i, bits) for each NodeSet word i (ids 64i..64i+63)
+     * below @p num_nodes that holds represented ids, in ascending
+     * order, with bit b of @p bits standing for id 64i + b. The word
+     * index is slices 1 and 2 (id bits [9:6]), so f1 and f2 alone
+     * select the words, and every selected word is the same (f3, f4)
+     * word: f4 in its low half if f3 has bit 0, in its high half if
+     * f3 has bit 1. The last word is clipped at @p num_nodes.
+     */
+    template <typename Fn>
+    void
+    forEachWord(unsigned num_nodes, Fn &&fn) const
+    {
+        std::uint64_t word = (_f3 & 1 ? std::uint64_t(_f4) : 0) |
+                             (_f3 & 2 ? std::uint64_t(_f4) << 32 : 0);
+        if (!word)
+            return;
+        for (unsigned m1 = _f1; m1; m1 &= m1 - 1) {
+            for (unsigned m2 = _f2; m2; m2 &= m2 - 1) {
+                unsigned i = unsigned(std::countr_zero(m1)) * 4 +
+                             unsigned(std::countr_zero(m2));
+                if (i * 64 >= num_nodes)
+                    return; // every later word lies past it too
+                unsigned left = num_nodes - i * 64;
+                fn(i, left < 64 ? word & ((1ull << left) - 1) : word);
+            }
+        }
+    }
+
     std::uint8_t _f1 = 0;  ///< 4-bit one-hot of id bits [9:8]
     std::uint8_t _f2 = 0;  ///< 4-bit one-hot of id bits [7:6]
     std::uint8_t _f3 = 0;  ///< 2-bit one-hot of id bit [5]

@@ -53,6 +53,22 @@ class NodeSet
         _words[n >> 6] |= 1ull << (n & 63);
     }
 
+    /**
+     * Add the ids 64 * @p word + b for every set bit b of @p bits:
+     * one word of the set at a time.
+     * @pre every such id lies below the capacity
+     */
+    void
+    insertWord(unsigned word, std::uint64_t bits)
+    {
+        if (word >= _nwords ||
+            (word + 1 == _nwords && _capacity % 64 != 0 &&
+             bits >> (_capacity % 64) != 0))
+            panic("NodeSet: word %u out of capacity %u", word,
+                  _capacity);
+        _words[word] |= bits;
+    }
+
     void
     erase(NodeId n)
     {
@@ -130,6 +146,34 @@ class NodeSet
                 return true;
         }
         return _words[hi] & hiMask;
+    }
+
+    /**
+     * True if some member is congruent to @p residue modulo
+     * @p modulus. Members of one class sit at one bit position of
+     * every (modulus / 64)-th word when the modulus spans words, so
+     * that query probes those words; a smaller modulus folds the OR
+     * of all words down to @p modulus bits.
+     * @pre @p modulus is a power of two and @p residue < @p modulus
+     */
+    bool
+    hasResidue(unsigned residue, unsigned modulus) const
+    {
+        if (modulus >= 64) {
+            std::uint64_t bit = 1ull << (residue & 63);
+            for (unsigned i = residue >> 6; i < _nwords;
+                 i += modulus >> 6) {
+                if (_words[i] & bit)
+                    return true;
+            }
+            return false;
+        }
+        std::uint64_t w = 0;
+        for (unsigned i = 0; i < _nwords; ++i)
+            w |= _words[i];
+        for (unsigned width = 32; width >= modulus; width /= 2)
+            w |= w >> width;
+        return (w >> residue) & 1;
     }
 
     /** True if every member of this set is also in @p o. */

@@ -67,13 +67,13 @@ class Network final : public Transport, public NetStats
      * stage-0 switch state synchronously with the injecting node, and
      * ejection calls endpoints synchronously from switch arbitration,
      * so there is no latency floor between one node's action and
-     * another node's state. Its ports also release at marks
-     * (PortRelease), which take their place in the order from the
-     * reserving event, not the scheduling one: the sharded
-     * genealogy cannot place them, and the shard barrier's
-     * resortPending would renumber the seqs they point into
-     * (ROADMAP item 5). Explicit 0 = "do not shard me"; a sharded
-     * SystemConfig falls back to one shard on this backend.
+     * another node's state. Its ports also release, and its outputs
+     * arbitrate, at marks (PortRelease), which take their place in
+     * the order from the reserving event, not the scheduling one:
+     * the sharded genealogy cannot place them, and the shard
+     * barrier's resortPending would renumber the seqs they point
+     * into (ROADMAP item 5). Explicit 0 = "do not shard me"; a
+     * sharded SystemConfig falls back to one shard on this backend.
      */
     Tick minCrossShardLatency() const override { return 0; }
 

@@ -23,8 +23,12 @@
  *  - the input port at stage s is src's digit s;
  *  - output p of switch (s, r) reaches the ids whose high s digits
  *    are r's low s digits and whose digit s is p: one contiguous
- *    range of 4^(S-1-s) ids starting at
- *    ((r mod 4^s) * 4 + p) * 4^(S-1-s), clipped to the node count.
+ *    range of span = 4^(S-1-s) ids starting at
+ *    ((r mod 4^s) * 4 + p) * span, clipped to the node count;
+ *  - input p of switch (s, r) is entered by the paths from the ids
+ *    whose low S-1-s digits are r's high ones and whose digit s is
+ *    p, to every destination the switch routes to: one residue
+ *    class, the ids v with v = p * span + (r >> 2s) (mod 4 * span).
  */
 
 #ifndef CENJU_NETWORK_TOPOLOGY_HH
@@ -110,6 +114,19 @@ class Topology
         unsigned first = (prefix * switchRadix + port) * span;
         return {std::min(first, _numNodes),
                 std::min(first + span, _numNodes)};
+    }
+
+    /**
+     * Sources whose paths enter switch (@p stage, @p row) on input
+     * @p port, toward any destination the switch routes to: the ids
+     * congruent to first modulo second. The modulus is 4^(S-stage),
+     * a power of two.
+     */
+    std::pair<unsigned, unsigned>
+    inputResidue(unsigned stage, unsigned row, unsigned port) const
+    {
+        unsigned span = 1u << (2 * (_stages - 1 - stage));
+        return {port * span + (row >> (2 * stage)), switchRadix * span};
     }
 
     /** 4-way perfect shuffle: left-rotate the S base-4 digits. */

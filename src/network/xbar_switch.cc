@@ -41,15 +41,19 @@ XbarSwitch::gatherWaitPattern(const Packet &pkt) const
     // Input ports via which members of the gather group reach this
     // switch on their unique route to the gather destination. The
     // real machine carries these patterns in the message, computed
-    // at the replying node from the same information.
+    // at the replying node from the same information. The packet is
+    // on a route to that destination through this switch, so a
+    // member enters on input p exactly when it lies in p's residue
+    // class (Topology::inputResidue): four queries on the group's
+    // words, however many members it has.
     if (!pkt.gatherGroup)
         panic("gathered packet without gather group");
-    NodeId home = pkt.dest.unicastDest();
     std::uint8_t pattern = 0;
-    pkt.gatherGroup->forEach([&](NodeId v) {
-        if (_topo.row(v, home, _stage) == _row)
-            pattern |= std::uint8_t(1u << _topo.routeDigit(v, _stage));
-    });
+    for (unsigned p = 0; p < switchRadix; ++p) {
+        auto [residue, modulus] = _topo.inputResidue(_stage, _row, p);
+        if (pkt.gatherGroup->hasResidue(residue, modulus))
+            pattern |= std::uint8_t(1u << p);
+    }
     return pattern;
 }
 
@@ -208,13 +212,28 @@ XbarSwitch::inputSpaceFreed(unsigned in)
 void
 XbarSwitch::scheduleArbitrate(unsigned out)
 {
-    if (_arbScheduled[out])
-        return;
-    _arbScheduled[out] = true;
-    _eq.scheduleAfter(0, [this, out] {
-        _arbScheduled[out] = false;
-        arbitrate(out);
-    });
+    PortRelease &wake = _wake[out];
+    if (!wake.busy(_eq))
+        wake.grant(_eq, 0);
+    if (canGrant(out))
+        wake.arm(_eq, [this, out] { arbitrate(out); });
+}
+
+bool
+XbarSwitch::canGrant(unsigned out) const
+{
+    return !_blockedEject[out] && _release[out].freeBy(_eq.now()) &&
+           queued(out);
+}
+
+bool
+XbarSwitch::queued(unsigned out) const
+{
+    for (unsigned in = 0; in < switchRadix; ++in) {
+        if (!_xb[in][out].q.empty())
+            return true;
+    }
+    return false;
 }
 
 void
@@ -227,12 +246,8 @@ void
 XbarSwitch::grant(unsigned out, Tick occupancy)
 {
     _release[out].grant(_eq, occupancy);
-    for (unsigned in = 0; in < switchRadix; ++in) {
-        if (!_xb[in][out].q.empty()) {
-            armRelease(out);
-            return;
-        }
-    }
+    if (queued(out))
+        armRelease(out);
 }
 
 void

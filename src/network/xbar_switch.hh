@@ -34,55 +34,71 @@ namespace cenju
 class Network;
 
 /**
- * Release on demand for one serializer: a switch output or a node
- * injector. A grant marks the point at which the port frees
- * (EventQueue::mark) and schedules the release there only once
- * something waits for it (arm). A release that runs thus has the
- * (tick, seq) of a release scheduled at every grant, and one that
- * would find nothing waiting, and so change nothing, never exists.
- * The order of the mark against the grant's hand-off event is part
- * of the simulated order the golden digests pin.
+ * A point in the event order at which one port's work runs on
+ * demand: the release of a serializer (a switch output or a node
+ * injector) or a switch output's arbitration. The owner marks the
+ * point (EventQueue::mark) and schedules the work there only once
+ * it can act (arm). Work that runs thus has the (tick, seq) of an
+ * event scheduled every time, and work that would find nothing to
+ * do, and so change nothing, never exists. The order of each mark
+ * against its neighbours is part of the simulated order the golden
+ * digests pin.
  *
- * The owner arms the release at grant if packets remain queued
- * behind the granted one (or, for an injector, its node waits for
- * space), and whenever a packet joins a port still busy. Arming any
- * later, say from the zero-delay arbitration the join schedules,
- * would be too late when the join sorts before the release point
- * within its tick.
+ * A release point is marked at grant. The owner arms it at grant if
+ * packets remain queued behind the granted one (or, for an
+ * injector, its node waits for space), and whenever a packet joins
+ * a port still busy. Arming any later, say from the arbitration the
+ * join wakes, would be too late when the join sorts before the
+ * release point within its tick.
  */
 class PortRelease
 {
   public:
-    /** True until the queue reaches the release point. */
+    /** True until the queue reaches the point. */
     bool
     busy(const EventQueue &eq) const
     {
-        return !eq.reached(_free);
+        return !eq.reached(point());
     }
 
-    /** A grant: the port frees @p occupancy ticks from now. */
+    /** True if the point lies at or before tick @p t. */
+    bool
+    freeBy(Tick t) const
+    {
+        return _when <= t;
+    }
+
+    /** A grant: the point lies @p occupancy ticks from now. */
     void
     grant(EventQueue &eq, Tick occupancy)
     {
-        _free = eq.mark(eq.now() + occupancy);
+        EventQueue::Mark m = eq.mark(eq.now() + occupancy);
+        _when = m.when;
+        _seq = m.seq;
         _armed = false;
     }
 
-    /** Run @p release at the release point, unless it is passed or
-     * already armed. */
+    /** Run @p work at the point, unless it is passed or already
+     * armed. */
     template <typename Fn>
     void
-    arm(EventQueue &eq, Fn &&release)
+    arm(EventQueue &eq, Fn &&work)
     {
-        if (_armed || eq.reached(_free))
+        if (_armed || eq.reached(point()))
             return;
         _armed = true;
-        eq.scheduleAt(_free, std::forward<Fn>(release));
+        eq.scheduleAt(point(), std::forward<Fn>(work));
     }
 
   private:
-    EventQueue::Mark _free;
-    bool _armed = false;
+    EventQueue::Mark point() const { return {_when, _seq}; }
+
+    // The state is one mark's 16 bytes (every switch output keeps
+    // two points): seqs count events and marks and stay far below
+    // 2^63, so the armed flag takes the top bit of the seq's word.
+    Tick _when = 0;
+    std::uint64_t _seq : 63 = 0;
+    std::uint64_t _armed : 1 = 0;
 };
 
 /** One 4x4 crossbar switch of the multistage network. */
@@ -135,7 +151,20 @@ class XbarSwitch
         _downPort[out_port] = their_in_port;
     }
 
-    /** Re-run arbitration for @p out_port (coalesced, zero delay). */
+    /**
+     * Wake output @p out_port: arbitrate it at this point of the
+     * current tick, on demand (PortRelease). A wake-up takes the
+     * place a zero-delay event would take; later wake-ups before
+     * that place coalesce into it. The arbitration is scheduled
+     * there only once the output can grant (canGrant), whether at
+     * this wake-up or at a later one before the place, and every
+     * way an output becomes able to grant wakes it: a packet joins
+     * (enqueue), its endpoint frees space (unblockEject) or a fault
+     * window closes (faultKick); a port still busy is arbitrated at
+     * its release point instead (armRelease). An arbitration left
+     * unscheduled would have returned at its busy, blocked or
+     * empty-queue test and changed nothing.
+     */
     void scheduleArbitrate(unsigned out_port);
 
     /**
@@ -205,6 +234,18 @@ class XbarSwitch
     void arbitrate(unsigned out);
 
     /**
+     * True if arbitrate(@p out) at a wake-up's place in this tick
+     * can act: a packet is queued for @p out, it is not blocked on
+     * ejection, and its release point lies at or before now (a
+     * point marked at an earlier tick, since occupancies are
+     * positive, so it sorts before the wake-up).
+     */
+    bool canGrant(unsigned out) const;
+
+    /** True if a packet is queued for @p out. */
+    bool queued(unsigned out) const;
+
+    /**
      * Occupy @p out for @p occupancy ticks from a grant, arming its
      * release if packets still wait for it. Called before the
      * grant's hand-off (downstream commit or eject) is scheduled.
@@ -228,6 +269,7 @@ class XbarSwitch
 
     Fifo _xb[switchRadix][switchRadix];
     std::array<PortRelease, switchRadix> _release{};
+    std::array<PortRelease, switchRadix> _wake{};
     std::array<bool, switchRadix> _blockedEject{};
     /** Some reserve failed on gather-table occupancy (not buffer
      * space); cleared by the wake when the owning gather forwards.
@@ -235,7 +277,6 @@ class XbarSwitch
      * so the default configuration schedules no extra events. */
     bool _gatherBlocked = false;
     std::uint64_t _gatherBlockCount = 0;
-    std::array<bool, switchRadix> _arbScheduled{};
     std::array<unsigned, switchRadix> _rr{};
 
     std::array<XbarSwitch *, switchRadix> _down{};

@@ -47,11 +47,12 @@ ReliableTransport::netStats() const
 std::uint32_t
 ReliableTransport::headerSum(const Packet &pkt)
 {
-    // FNV-1a over every header field that is meaningful on the
+    // FNV-1a with whole 64-bit words for bytes (one xor-multiply
+    // per field), over every header field that is meaningful on the
     // normalized (unicast, flag-stripped) wire. relChecksum itself
     // and fields the inner backend rewrites (packetId, injectTick)
     // are excluded so the sum verifies unchanged at the receiver.
-    std::uint64_t h = 1469598103934665603ull;
+    std::uint64_t h = fnvBasis;
     auto mix = [&h](std::uint64_t v) {
         h ^= v;
         h *= 1099511628211ull;

@@ -18,7 +18,8 @@
  *    O(1), and an occupancy bitmap finds the first non-empty bucket
  *    from now(). The model's hit, hop and memory delays are all
  *    shorter than the span, and the bucket at now() holds the
- *    switches' zero-delay arbitrations;
+ *    zero-delay events, among them the switch arbitrations that
+ *    can grant;
  *  - the overflow heap: schedule() for a tick the span or more
  *    ahead pushes a (when, seq) record onto a binary heap. runOne()
  *    runs whichever of the calendar's first event and the heap top
@@ -30,9 +31,10 @@
  *    on the heap when the mark is the span or more ahead. A mark
  *    nothing is scheduled at costs nothing: it is an event that
  *    never exists. The fabric marks each port's release point at
- *    grant and schedules the release only when a packet is waiting
- *    for it, so a release that runs has the place a release
- *    scheduled at every grant would have had (PortRelease,
+ *    grant, and each switch output's arbitration point when it is
+ *    woken, and schedules the release or the arbitration there
+ *    only once a packet can move, so one that runs has the place
+ *    an event scheduled every time would have had (PortRelease,
  *    network/xbar_switch.hh).
  *
  * The kernel is allocation-free in steady state (docs/PERF.md):

@@ -7,7 +7,9 @@
  * invalidation and break coherence), and the pointer-based schemes
  * must be exact while four pointers suffice (paper section 3.2).
  * Every query the protocol asks of a map (contains, representedCount,
- * empty, isOnly, containsOther) must agree with the map's own decode.
+ * empty, isOnly, containsOther) must agree with the map's own decode,
+ * and the bit pattern's word-wise decode and count must agree with
+ * its per-id membership test at every system size.
  *
  * Set CENJU_FUZZ_SEED to reproduce or vary a randomized run; the
  * default seed is fixed so plain ctest is deterministic.
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "directory/bit_pattern.hh"
 #include "directory/node_map.hh"
 #include "sim/rng.hh"
 
@@ -265,8 +268,50 @@ TEST_P(NodeMapProperty, SetOnlyAfterOverflowKeepsTheNode)
     }
 }
 
+// 48 and 100 cut a bit-pattern slice and a 64-id word: some ids the
+// fields represent lie past the size, so the clipped count and
+// decode differ from the unclipped ones. They come last so that the
+// instances /0 to /2 keep 16, 64 and 1024.
 INSTANTIATE_TEST_SUITE_P(Sizes, NodeMapProperty,
-                         ::testing::Values(16u, 64u, 1024u));
+                         ::testing::Values(16u, 64u, 1024u, 48u,
+                                           100u));
+
+TEST(BitPatternProperty, WordDecodeMatchesPerIdContains)
+{
+    // decode and representedCount work one 64-id word at a time and
+    // clip the last word at the size; the reference asks contains
+    // of every id. Half the patterns are random field values, half
+    // are built from up to 64 random sharers.
+    SCOPED_TRACE("CENJU_FUZZ_SEED=" + std::to_string(fuzzSeed()));
+    Rng rng(fuzzSeed() ^ 0xb17fa77e);
+    for (unsigned nodes = 1; nodes <= maxNodes; ++nodes) {
+        for (unsigned trial = 0; trial < 6; ++trial) {
+            BitPattern p;
+            if (trial < 3) {
+                p = BitPattern::unpack(rng.next());
+            } else {
+                unsigned most = trial == 5 ? 64 : 8;
+                auto sharers = unsigned(1 + rng.below(most));
+                for (unsigned i = 0; i < sharers; ++i)
+                    p.add(NodeId(rng.below(maxNodes)));
+            }
+            NodeSet decoded = p.decode(nodes);
+            unsigned count = 0;
+            for (NodeId v = 0; v < nodes; ++v) {
+                count += p.contains(v);
+                if (decoded.contains(v) != p.contains(v)) {
+                    ADD_FAILURE() << "nodes=" << nodes << " pattern="
+                                  << p.pack() << ": decode disagrees"
+                                  << " with contains at " << v;
+                    return;
+                }
+            }
+            EXPECT_EQ(decoded.count(), count) << "nodes=" << nodes;
+            EXPECT_EQ(p.representedCount(nodes), count)
+                << "nodes=" << nodes << " pattern=" << p.pack();
+        }
+    }
+}
 
 } // namespace
 } // namespace cenju
